@@ -14,7 +14,16 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .data import PosteriorVector, VoteMatrix, rng_from
-from .em import EMConfig, EMTrace, init_gamma, judge_weights, relative_change, resolve_flip
+from .em import (
+    EMConfig,
+    EMTrace,
+    class_prior,
+    init_gamma,
+    judge_weights,
+    relative_change,
+    resolve_flip,
+    vote_patterns,
+)
 
 
 @dataclass(frozen=True)
@@ -106,9 +115,12 @@ class EMFit:
 
 def observed_loglik(p: CIParams, votes: np.ndarray) -> float:
     """Observed-data log-likelihood sum_i log(pi P(J_i|1) + (1-pi) P(J_i|0))."""
+    return float(_row_log_evidence(p, votes).sum())
+
+
+def _row_log_evidence(p: CIParams, votes: np.ndarray) -> np.ndarray:
     l0, l1 = _class_log_liks(p, votes)
-    stacked = np.stack([np.log(p.pi) + l1, np.log1p(-p.pi) + l0])
-    return float(logsumexp(stacked, axis=0).sum())
+    return logsumexp(np.stack([np.log(p.pi) + l1, np.log1p(-p.pi) + l0]), axis=0)
 
 
 def _beta_log_prior(p: CIParams, a: float, b: float) -> float:
@@ -124,24 +136,26 @@ def em_fit_ci(v: VoteMatrix, config: EMConfig = EMConfig()) -> EMFit:
     E-step: exact posteriors from the current parameters. M-step: Beta-MAP
     updates for (alpha, beta) from soft counts and pi = mean(gamma). The
     penalized observed log-likelihood is non-decreasing (tracked in the
-    trace); convergence is relative change below ``config.tol``.
+    trace); convergence is relative change below ``config.tol``. Both steps
+    run over the distinct vote rows.
     """
     if v.n < 2:
         raise ValueError("em_fit_ci requires at least 2 items")
-    votes = v.votes.astype(float)
+    patterns, counts, inverse = vote_patterns(v.votes)
     a, b = config.prior_a, config.prior_b
     trace = EMTrace(init_used="majority")
-    if v.k >= 2 and np.all(v.votes == v.votes[:, :1]):
+    if v.k >= 2 and np.all(patterns == patterns[:, :1]):
         msg = "all judge columns identical: low-information input, estimates rely on priors"
         warnings.warn(msg)
         trace.notes.append(msg)
-    gamma = init_gamma(votes, config.seed)
+    w1 = np.bincount(inverse, weights=init_gamma(v.votes, config.seed))
     params = None
     prev = -np.inf
     for _ in range(config.max_iters):
-        params = _map_mstep(votes, gamma, a, b)
-        gamma = expit(_log_odds_matrix(params, votes))
-        ll = observed_loglik(params, votes)
+        params = _map_mstep(patterns, w1, counts - w1, a, b)
+        gamma = expit(_log_odds_matrix(params, patterns))
+        w1 = counts * gamma
+        ll = float(counts @ _row_log_evidence(params, patterns))
         obj = ll + _beta_log_prior(params, a, b)
         trace.loglik.append(ll)
         trace.objective.append(obj)
@@ -154,11 +168,11 @@ def em_fit_ci(v: VoteMatrix, config: EMConfig = EMConfig()) -> EMFit:
         params = params.flipped()
         gamma = 1.0 - gamma
         trace.flipped = True
-    return EMFit(params=params, posterior=PosteriorVector(gamma), trace=trace)
+    return EMFit(params=params, posterior=PosteriorVector(gamma[inverse]), trace=trace)
 
 
-def _map_mstep(votes: np.ndarray, gamma: np.ndarray, a: float, b: float) -> CIParams:
-    pi = float(gamma.mean())
-    alpha = (a - 1.0 + gamma @ votes) / (a + b - 2.0 + gamma.sum())
-    beta = (a - 1.0 + (1.0 - gamma) @ (1.0 - votes)) / (a + b - 2.0 + (1.0 - gamma).sum())
-    return CIParams(pi=pi, alpha=alpha, beta=beta)
+def _map_mstep(patterns: np.ndarray, w1: np.ndarray, w0: np.ndarray, a: float, b: float) -> CIParams:
+    """Beta-MAP (alpha, beta) and the class prior from per-pattern class weights."""
+    alpha = (a - 1.0 + w1 @ patterns) / (a + b - 2.0 + w1.sum())
+    beta = (a - 1.0 + w0 @ (1.0 - patterns)) / (a + b - 2.0 + w0.sum())
+    return CIParams(pi=class_prior(w1, w0), alpha=alpha, beta=beta)

@@ -4,6 +4,12 @@ All model families (conditionally-independent, Ising, latent-factor) follow
 the same loop: initialize per-item responsibilities, alternate a weighted
 M-step with a posterior E-step, track a monotone objective, and resolve the
 global label-flip ambiguity at the end.
+
+Every step touches the data only through weighted sums over vote rows, so
+the loops run over the distinct rows (:func:`vote_patterns`): a pattern
+carries its item count and its summed class-1 responsibility ``w1``, with
+``w0 = counts - w1`` for class 0. Per-item posteriors are read back through
+the row -> pattern index once, when a fit returns.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ INIT_STRATEGIES = ("ci", "majority", "agreement")
 # Relative objective margin a later restart must win by to displace an
 # earlier (more-preferred) one.
 RESTART_MARGIN = 1e-4
+
+# The class prior is kept this far inside (0,1): unanimous votes drive every
+# responsibility to exactly 0 or 1, where logit(pi) is undefined.
+PI_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,26 @@ def init_gamma(votes: np.ndarray, seed: int, strategy: str = "majority", stream:
     rng = rng_from(seed, 91, stream)
     jitter = rng.uniform(-0.05, 0.05, size=len(frac))
     return np.clip(base + jitter, 1e-3, 1.0 - 1e-3)
+
+
+def vote_patterns(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct vote rows as floats, their counts, and the row -> pattern index.
+
+    ``patterns[inverse]`` reproduces ``votes`` and ``counts`` sums to n. Rows
+    are keyed by their bit-packed bytes, which sorts far faster than
+    ``np.unique(votes, axis=0)`` and needs no special case for large K.
+    """
+    votes = np.asarray(votes)
+    packed = np.packbits(votes != 0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    return votes[first].astype(float), counts.astype(float), inverse.ravel()
+
+
+def class_prior(w1: np.ndarray, w0: np.ndarray) -> float:
+    """M-step class prior: share of the class-1 weight, kept inside (0,1)."""
+    s1 = w1.sum()
+    return float(np.clip(s1 / (s1 + w0.sum()), PI_EPS, 1.0 - PI_EPS))
 
 
 def judge_weights(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:

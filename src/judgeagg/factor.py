@@ -20,10 +20,12 @@ from .em import (
     EMTrace,
     INIT_STRATEGIES,
     RESTART_MARGIN,
+    class_prior,
     init_gamma,
     judge_weights,
     relative_change,
     resolve_flip,
+    vote_patterns,
 )
 
 QUAD_NODES = 61
@@ -245,21 +247,23 @@ def em_fit_factor(v: VoteMatrix, r: int = 1, config: EMConfig = EMConfig()) -> F
     quadrature log-likelihood: per judge, a concave 3-parameter weighted
     logistic problem solved by safeguarded Newton steps. The surrogate
     mixture objective is non-decreasing across iterations. Loadings are
-    canonicalized to non-negative total sign.
+    canonicalized to non-negative total sign. Every step runs over the
+    distinct vote rows.
     """
     if r != 1:
         raise ValueError("only rank r=1 fitting is supported")
     if v.n < 2:
         raise ValueError("em_fit_factor requires at least 2 items")
-    votes = v.votes.astype(float)
+    patterns, counts, inverse = vote_patterns(v.votes)
 
     best = None
     for stream, strategy in enumerate(INIT_STRATEGIES):
         if strategy == "ci":
             gamma0 = np.clip(em_fit_ci(v, config).posterior.gamma, 1e-3, 1 - 1e-3)
         else:
-            gamma0 = init_gamma(votes, config.seed, strategy, stream=0 if strategy == "majority" else stream)
-        run = _factor_em_run(votes, gamma0, config, strategy)
+            gamma0 = init_gamma(v.votes, config.seed, strategy, stream=0 if strategy == "majority" else stream)
+        w1 = np.bincount(inverse, weights=gamma0)
+        run = _factor_em_run(patterns, counts, w1, config, strategy)
         if best is None or run[0] > best[0] + RESTART_MARGIN * abs(best[0]):
             best = run
     _, gamma, params, trace = best
@@ -271,7 +275,7 @@ def em_fit_factor(v: VoteMatrix, r: int = 1, config: EMConfig = EMConfig()) -> F
         params = params.flipped()
         gamma = 1.0 - gamma
         trace.flipped = True
-    return FactorEMFit(params=params, posterior=PosteriorVector(gamma), trace=trace)
+    return FactorEMFit(params=params, posterior=PosteriorVector(gamma[inverse]), trace=trace)
 
 
 def _implied_rates(p: MultiFactorParams) -> tuple[np.ndarray, np.ndarray]:
@@ -283,9 +287,9 @@ def _implied_rates(p: MultiFactorParams) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(alpha, eps, 1 - eps), np.clip(1.0 - m0, eps, 1 - eps)
 
 
-def _factor_em_run(votes, gamma0, config, strategy):
-    n, k = votes.shape
-    gamma = gamma0.copy()
+def _factor_em_run(patterns, counts, w1, config, strategy):
+    """One restart over distinct vote rows; returns the per-pattern posterior."""
+    k = patterns.shape[1]
     a = np.zeros(k)
     b = np.zeros(k)
     # Small positive loading init: breaks the lam = 0 stationary point while
@@ -293,14 +297,15 @@ def _factor_em_run(votes, gamma0, config, strategy):
     lam = 0.05 * np.ones(k)
     trace = EMTrace(init_used=strategy)
     prev_obj = -np.inf
-    pi = float(gamma.mean())
     for _ in range(config.max_iters):
-        pi = float(gamma.mean())
-        a, b, lam = _mstep_newton(votes, gamma, a, b, lam)
-        l0 = _quad_scores(votes, b, lam)
-        l1 = _quad_scores(votes, a + b, lam)
+        w0 = counts - w1
+        pi = class_prior(w1, w0)
+        a, b, lam = _mstep_newton(patterns, w1, w0, a, b, lam)
+        l0 = _quad_scores(patterns, b, lam)
+        l1 = _quad_scores(patterns, a + b, lam)
         gamma = expit(np.log(pi / (1.0 - pi)) + l1 - l0)
-        ll = float(logsumexp(np.stack([np.log(pi) + l1, np.log1p(-pi) + l0]), axis=0).sum())
+        w1 = counts * gamma
+        ll = float(counts @ logsumexp(np.stack([np.log(pi) + l1, np.log1p(-pi) + l0]), axis=0))
         trace.loglik.append(ll)
         trace.objective.append(ll)
         trace.n_iters += 1
@@ -312,8 +317,8 @@ def _factor_em_run(votes, gamma0, config, strategy):
     return trace.objective[-1], gamma, params, trace
 
 
-def _mstep_newton(votes, gamma, a, b, lam, n_steps: int = 12):
-    """Improve the weighted quadrature log-likelihood via its node minorizer.
+def _mstep_newton(votes, w1, w0, a, b, lam, n_steps: int = 12):
+    """Improve the quadrature log-likelihood, rows weighted by w1 and w0, via its node minorizer.
 
     Node responsibilities R are computed once at the current parameters; the
     resulting bound is, for each judge, a weighted logistic log-likelihood in
@@ -321,8 +326,8 @@ def _mstep_newton(votes, gamma, a, b, lam, n_steps: int = 12):
     steps with halving keep the bound (and hence the objective) from
     decreasing.
     """
-    n, k = votes.shape
-    g = np.stack([1.0 - gamma, gamma], axis=1)          # (n, 2)
+    k = votes.shape[1]
+    g = np.stack([w0, w1], axis=1)                       # (n, 2)
     theta = np.stack([a, b, lam], axis=1)               # (K, 3)
     c = np.zeros((2, QUAD_NODES))                        # sum_i g R per node
     d = np.zeros((2, k, QUAD_NODES))                     # sum_i g R J per node/judge

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -23,10 +24,12 @@ from .em import (
     EMTrace,
     INIT_STRATEGIES,
     RESTART_MARGIN,
+    class_prior,
     init_gamma,
     judge_weights,
     relative_change,
     resolve_flip,
+    vote_patterns,
 )
 
 K_MAX_EXACT = 15
@@ -144,11 +147,22 @@ class ExactEvidence:
     k_max_exact: int = K_MAX_EXACT
 
 
-def all_configs(k: int) -> np.ndarray:
-    """All 2^K binary vote vectors as a (2^K, K) float matrix."""
-    if k > K_MAX_EXACT + 6:
-        raise ExactEvidenceUnavailable(k, K_MAX_EXACT)
-    return ((np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1).astype(float)
+def all_configs(k: int, k_max_exact: int = K_MAX_EXACT) -> np.ndarray:
+    """All 2^K binary vote vectors as a read-only (2^K, K) float matrix.
+
+    Built once per K and shared by every caller. Raises
+    :class:`ExactEvidenceUnavailable` beyond the caller's cutoff.
+    """
+    if k > k_max_exact:
+        raise ExactEvidenceUnavailable(k, k_max_exact)
+    return _configs(k)
+
+
+@cache
+def _configs(k: int) -> np.ndarray:
+    configs = ((np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1).astype(float)
+    configs.flags.writeable = False
+    return configs
 
 
 def energy(j, h, W) -> float:
@@ -160,16 +174,14 @@ def energy(j, h, W) -> float:
 
 
 def _energies(configs: np.ndarray, h: np.ndarray, W: np.ndarray) -> np.ndarray:
-    return configs @ h + 0.5 * np.einsum("ij,jk,ik->i", configs, W, configs)
+    return configs @ h + 0.5 * ((configs @ W) * configs).sum(axis=1)
 
 
 def log_partition(h, W, k_max_exact: int = K_MAX_EXACT) -> float:
     """log sum over all 2^K configurations of exp(energy), by enumeration."""
     h = np.asarray(h, dtype=float)
     W = _check_coupling(W, "W")
-    if len(h) > k_max_exact:
-        raise ExactEvidenceUnavailable(len(h), k_max_exact)
-    return float(logsumexp(_energies(all_configs(len(h)), h, W)))
+    return float(logsumexp(_energies(all_configs(len(h), k_max_exact), h, W)))
 
 
 def exact_evidence(p: IsingParams, k_max_exact: int = K_MAX_EXACT) -> ExactEvidence:
@@ -189,9 +201,7 @@ def class_conditional_prob(p: IsingParams, j, y: int, k_max_exact: int = K_MAX_E
 def class_conditional_table(p: IsingParams, y: int, k_max_exact: int = K_MAX_EXACT) -> np.ndarray:
     """Probability of every configuration (row order of :func:`all_configs`)."""
     h, W = (p.h1, p.W1) if y == 1 else (p.h0, p.W0)
-    if p.k > k_max_exact:
-        raise ExactEvidenceUnavailable(p.k, k_max_exact)
-    e = _energies(all_configs(p.k), h, W)
+    e = _energies(all_configs(p.k, k_max_exact), h, W)
     return np.exp(e - logsumexp(e))
 
 
@@ -242,7 +252,7 @@ def ci_from_marginals(p: IsingParams, k_max_exact: int = K_MAX_EXACT) -> CIParam
     enumeration. Feeding these into the CI log-odds gives the predictor that
     matches the true one-dimensional marginals while ignoring couplings.
     """
-    configs = all_configs(p.k)
+    configs = all_configs(p.k, k_max_exact)
     m1 = class_conditional_table(p, 1, k_max_exact) @ configs
     m0 = class_conditional_table(p, 0, k_max_exact) @ configs
     eps = 1e-12
@@ -257,9 +267,7 @@ def sample_ising(h, W, n: int, seed: int, k_max_exact: int = K_MAX_EXACT) -> np.
     """n exact draws from one class-conditional model via the 2^K categorical."""
     h = np.asarray(h, dtype=float)
     W = _check_coupling(W, "W")
-    if len(h) > k_max_exact:
-        raise ExactEvidenceUnavailable(len(h), k_max_exact)
-    configs = all_configs(len(h))
+    configs = all_configs(len(h), k_max_exact)
     e = _energies(configs, h, W)
     probs = np.exp(e - logsumexp(e))
     idx = rng_from(seed, 23).choice(len(configs), size=n, p=probs)
@@ -327,12 +335,13 @@ def _pll_scores(votes: np.ndarray, h: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.sum(votes * eta - np.logaddexp(0.0, eta), axis=1)
 
 
-def _triu(k: int):
-    return np.triu_indices(k, 1)
-
-
-def _pack(h: np.ndarray, W: np.ndarray) -> np.ndarray:
-    return np.concatenate([h, W[_triu(len(h))]])
+@cache
+def _triu(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strict upper-triangle indices, built once per K and shared read-only."""
+    iu = np.triu_indices(k, 1)
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
 
 
 def _unpack(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -413,55 +422,38 @@ def _exact_class_scores(votes, h, W, k_max_exact):
     return _energies(votes, h, W) - log_partition(h, W, k_max_exact)
 
 
-class _Scorer:
-    """Class-conditional scores: exact evidence when tractable, else PLL."""
-
-    def __init__(self, k: int, k_max_exact: int):
-        self.exact = k <= k_max_exact
-        self.k_max_exact = k_max_exact
-
-    def scores(self, votes, h, W):
-        if self.exact:
-            return _exact_class_scores(votes, h, W, self.k_max_exact)
-        return _pll_scores(votes, h, W)
-
-
-def _class_param_fit(votes, gamma, mode, x1, x0, lam, a, b):
-    """One M-step: weighted pseudo-likelihood fits for both class models."""
-    n, k = votes.shape
+def _class_param_fit(votes, w1, w0, mode, x1, x0, lam, a, b):
+    """One M-step: pseudo-likelihood fits for both class models, weighted by w1 and w0."""
+    k = votes.shape[1]
     if k == 1:
         # No couplings exist: the weighted Bernoulli MAP has a closed form
         # identical to the CI fitter's update.
-        s1 = (a - 1.0 + gamma @ votes[:, 0]) / (a + b - 2.0 + gamma.sum())
-        s0 = (a - 1.0 + (1.0 - gamma) @ votes[:, 0]) / (a + b - 2.0 + (1.0 - gamma).sum())
+        s1 = (a - 1.0 + w1 @ votes[:, 0]) / (a + b - 2.0 + w1.sum())
+        s0 = (a - 1.0 + w0 @ votes[:, 0]) / (a + b - 2.0 + w0.sum())
         z = np.zeros((1, 1))
         return (np.array([np.log(s0 / (1 - s0))]), np.array([np.log(s1 / (1 - s1))]), z, z,
                 np.array([np.log(s1 / (1 - s1))]), np.array([np.log(s0 / (1 - s0))]))
     if mode == "class_dependent":
-        nx1, _ = _maximize_pll(votes, gamma, x1, lam, a, b)
-        nx0, _ = _maximize_pll(votes, 1.0 - gamma, x0, lam, a, b)
+        nx1, _ = _maximize_pll(votes, w1, x1, lam, a, b)
+        nx0, _ = _maximize_pll(votes, w0, x0, lam, a, b)
         h1, W1 = _unpack(nx1, k)
         h0, W0 = _unpack(nx0, k)
     else:
         # Shared couplings: one joint solve over (h1, h0, W) so W0 = W1 holds
         # exactly rather than by post-hoc averaging.
-        iu = _triu(k)
         xj = np.concatenate([x1[:k], x0[:k], x1[k:]])
 
         def obj(xx):
-            f1, g1 = _penalized_pll_obj(np.concatenate([xx[:k], xx[2 * k:]]), votes, gamma, k, lam / 2, a, b)
-            f0, g0 = _penalized_pll_obj(np.concatenate([xx[k:2 * k], xx[2 * k:]]), votes, 1.0 - gamma, k, lam / 2, a, b)
+            f1, g1 = _penalized_pll_obj(np.concatenate([xx[:k], xx[2 * k:]]), votes, w1, k, lam / 2, a, b)
+            f0, g0 = _penalized_pll_obj(np.concatenate([xx[k:2 * k], xx[2 * k:]]), votes, w0, k, lam / 2, a, b)
             return f1 + f0, np.concatenate([g1[:k], g0[:k], g1[k:] + g0[k:]])
 
         res = minimize(obj, xj, jac=True, method="L-BFGS-B", options=_LBFGS_OPTS_EM)
-        h1 = res.x[:k]
+        nx1 = np.concatenate([res.x[:k], res.x[2 * k:]])
+        nx0 = np.concatenate([res.x[k:2 * k], res.x[2 * k:]])
+        h1, W1 = _unpack(nx1, k)
         h0 = res.x[k:2 * k]
-        W1 = np.zeros((k, k))
-        W1[iu] = res.x[2 * k:]
-        W1 = W1 + W1.T
         W0 = W1
-        nx1 = np.concatenate([h1, res.x[2 * k:]])
-        nx0 = np.concatenate([h0, res.x[2 * k:]])
     return h0, h1, W0, W1, nx1, nx0
 
 
@@ -487,20 +479,23 @@ def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig 
     objective under the active scores, so the tracked objective is
     non-decreasing. Runs one restart per initialization strategy and keeps
     the best objective; the global label flip is resolved from the fitted
-    model's implied marginal weights, falling back to class balance.
+    model's implied marginal weights, falling back to class balance. Every
+    step runs over the distinct vote rows.
     """
     if v.n < 2:
         raise ValueError("em_fit_ising requires at least 2 items")
     if mode not in ("class_dependent", "class_independent"):
         raise ValueError(f"unknown mode {mode!r}")
-    votes = v.votes.astype(float)
-    n, k = votes.shape
+    patterns, counts, inverse = vote_patterns(v.votes)
+    k = v.k
     if k > k_max_exact:
         warnings.warn(
             f"exact evidence unavailable for K={k} (cutoff {k_max_exact}); "
             "E-step falls back to pseudo-likelihood class scores"
         )
-    scorer = _Scorer(k, k_max_exact)
+        score = _pll_scores
+    else:
+        score = partial(_exact_class_scores, k_max_exact=k_max_exact)
     lam, a, b = LAMBDA_REG, config.prior_a, config.prior_b
 
     # With a single judge no couplings exist and the model coincides with the
@@ -511,8 +506,9 @@ def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig 
         if strategy == "ci":
             gamma0 = np.clip(em_fit_ci(v, config).posterior.gamma, 1e-3, 1 - 1e-3)
         else:
-            gamma0 = init_gamma(votes, config.seed, strategy, stream=0 if strategy == "majority" else stream)
-        run = _em_run(votes, gamma0, mode, scorer, config, lam, a, b, strategy)
+            gamma0 = init_gamma(v.votes, config.seed, strategy, stream=0 if strategy == "majority" else stream)
+        w1 = np.bincount(inverse, weights=gamma0)
+        run = _em_run(patterns, counts, w1, mode, score, config, lam, a, b, strategy)
         if best is None or run[0] > best[0] + RESTART_MARGIN * abs(best[0]):
             best = run
     _, gamma, params, trace = best
@@ -522,7 +518,7 @@ def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig 
         params = params.flipped()
         gamma = 1.0 - gamma
         trace.flipped = True
-    return IsingEMFit(params=params, posterior=PosteriorVector(gamma), trace=trace)
+    return IsingEMFit(params=params, posterior=PosteriorVector(gamma[inverse]), trace=trace)
 
 
 def _orientation_weight_sum(params: IsingParams, k_max_exact: int) -> float:
@@ -533,10 +529,10 @@ def _orientation_weight_sum(params: IsingParams, k_max_exact: int) -> float:
     return float((params.h1 - params.h0).sum())
 
 
-def _em_run(votes, gamma0, mode, scorer, config, lam, a, b, strategy):
-    n, k = votes.shape
+def _em_run(patterns, counts, w1, mode, score, config, lam, a, b, strategy):
+    """One restart over distinct vote rows; returns the per-pattern posterior."""
+    k = patterns.shape[1]
     shared = mode == "class_independent"
-    gamma = gamma0.copy()
     npar = k + k * (k - 1) // 2
     x1 = np.zeros(npar)
     x0 = np.zeros(npar)
@@ -545,18 +541,18 @@ def _em_run(votes, gamma0, mode, scorer, config, lam, a, b, strategy):
     trace = EMTrace(init_used=strategy)
     prev_obj = -np.inf
     s1 = s0 = None
-    pi = float(gamma.mean())
     for _ in range(config.max_iters):
-        pi = float(gamma.mean())
-        cand = _class_param_fit(votes, gamma, mode, x1, x0, lam, a, b)
+        w0 = counts - w1
+        pi = class_prior(w1, w0)
+        cand = _class_param_fit(patterns, w1, w0, mode, x1, x0, lam, a, b)
         ch0, ch1, cW0, cW1, cx1, cx0 = cand
-        cs1 = scorer.scores(votes, ch1, cW1)
-        cs0 = scorer.scores(votes, ch0, cW0)
-        q_cand = float(gamma @ cs1 + (1.0 - gamma) @ cs0) + _penalty_terms(ch0, ch1, cW0, cW1, shared, lam, a, b)
+        cs1 = score(patterns, ch1, cW1)
+        cs0 = score(patterns, ch0, cW0)
+        q_cand = float(w1 @ cs1 + w0 @ cs0) + _penalty_terms(ch0, ch1, cW0, cW1, shared, lam, a, b)
         if s1 is None:
             q_cur = -np.inf
         else:
-            q_cur = float(gamma @ s1 + (1.0 - gamma) @ s0) + _penalty_terms(h0, h1, W0, W1, shared, lam, a, b)
+            q_cur = float(w1 @ s1 + w0 @ s0) + _penalty_terms(h0, h1, W0, W1, shared, lam, a, b)
         if q_cand >= q_cur - 1e-9:
             h0, h1, W0, W1, x1, x0 = ch0, ch1, cW0, cW1, cx1, cx0
             s1, s0 = cs1, cs0
@@ -567,7 +563,8 @@ def _em_run(votes, gamma0, mode, scorer, config, lam, a, b, strategy):
             trace.notes.append(f"iter {trace.n_iters}: M-step rejected by safeguard")
         log_prior = np.log(pi / (1.0 - pi))
         gamma = expit(log_prior + s1 - s0)
-        ll = float(logsumexp(np.stack([np.log(pi) + s1, np.log1p(-pi) + s0]), axis=0).sum())
+        w1 = counts * gamma
+        ll = float(counts @ logsumexp(np.stack([np.log(pi) + s1, np.log1p(-pi) + s0]), axis=0))
         obj = ll + _penalty_terms(h0, h1, W0, W1, shared, lam, a, b)
         trace.loglik.append(ll)
         trace.objective.append(obj)

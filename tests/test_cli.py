@@ -74,6 +74,19 @@ class TestFit:
                                        "--out", str(out), "--max-iters", "2"])
         assert res.exit_code == 0, res.output
 
+    @pytest.mark.parametrize("model", ["ci", "ising-shared", "ising-classdep", "factor"])
+    def test_unanimous_votes_fit_exits_0(self, runner, tmp_path, model):
+        n, k = 2000, 20
+        path = tmp_path / "unanimous.csv"
+        header = ",".join(["item", *(f"j{j + 1}" for j in range(k))])
+        path.write_text(header + "\n" + "".join(f"{i}," + ",".join("1" * k) + "\n" for i in range(n)))
+        out = tmp_path / model
+        res = runner.invoke(main, ["fit", "--votes", str(path), "--model", model, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        lines = (out / "posteriors.csv").read_text().splitlines()
+        gamma = [float(line.split(",")[1]) for line in lines[1:]]
+        assert len(gamma) == n and all(0.0 <= g <= 1.0 for g in gamma)
+
 
 class TestPredict:
     def test_round_trip(self, runner, tmp_path):

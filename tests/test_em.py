@@ -1,0 +1,73 @@
+"""Shared EM machinery: the vote-pattern table and degenerate inputs."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from judgeagg import VoteMatrix, em_fit_ci, em_fit_factor, em_fit_ising
+from judgeagg.em import PI_EPS, class_prior, vote_patterns
+
+
+class TestVotePatterns:
+    @pytest.mark.parametrize("k", [1, 6, 20, 70])
+    def test_inverse_reproduces_votes(self, k):
+        # K=70 packs to a 9-byte key, wider than any machine integer.
+        rng = np.random.default_rng(k)
+        n = 500
+        votes = (rng.random((n, k)) < 0.3).astype(np.int8)
+        votes[n // 2:] = votes[: n - n // 2]  # force repeated rows
+        patterns, counts, inverse = vote_patterns(votes)
+        assert patterns.dtype == float and patterns.shape[1] == k
+        assert np.array_equal(patterns[inverse], votes)
+        assert counts.sum() == n
+        assert np.array_equal(counts, np.bincount(inverse))
+        assert len(np.unique(patterns, axis=0)) == len(patterns)
+
+    def test_single_row(self):
+        patterns, counts, inverse = vote_patterns(np.array([[1, 0, 1]], dtype=np.int8))
+        assert patterns.tolist() == [[1.0, 0.0, 1.0]]
+        assert counts.tolist() == [1.0]
+        assert inverse.tolist() == [0]
+
+    def test_rows_differing_in_last_judge_stay_distinct(self):
+        votes = np.zeros((2, 9), dtype=np.int8)
+        votes[1, 8] = 1
+        patterns, counts, _ = vote_patterns(votes)
+        assert len(patterns) == 2 and counts.tolist() == [1.0, 1.0]
+
+
+def test_class_prior_stays_inside_unit_interval():
+    counts = np.array([3.0, 5.0])
+    assert class_prior(counts, np.zeros(2)) == 1.0 - PI_EPS
+    assert class_prior(np.zeros(2), counts) == PI_EPS
+    assert class_prior(np.array([1.0, 1.0]), np.array([2.0, 4.0])) == 0.25
+
+
+def _constant_votes(fill: int, n: int = 2000, k: int = 20) -> VoteMatrix:
+    return VoteMatrix(votes=np.full((n, k), fill, dtype=np.int8),
+                      item_ids=tuple(map(str, range(n))),
+                      judge_names=tuple(f"j{j + 1}" for j in range(k)))
+
+
+FITTERS = {
+    "ci": em_fit_ci,
+    "ising-shared": lambda v: em_fit_ising(v, "class_independent"),
+    "ising-classdep": lambda v: em_fit_ising(v, "class_dependent"),
+    "factor": em_fit_factor,
+}
+
+
+@pytest.mark.parametrize("fill", [1, 0], ids=["all-ones", "all-zeros"])
+@pytest.mark.parametrize("family", list(FITTERS))
+def test_unanimous_votes_give_finite_fit(family, fill):
+    # Unanimous votes saturate every responsibility; the class prior used to
+    # reach exactly 0 or 1 and the fit raised instead of returning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = FITTERS[family](_constant_votes(fill))
+    gamma = fit.posterior.gamma
+    assert gamma.shape == (2000,)
+    assert np.all(np.isfinite(gamma))
+    assert 0.0 < fit.params.pi < 1.0
+    assert np.all(np.isfinite(fit.trace.objective))
