@@ -18,7 +18,8 @@ import numpy as np
 from . import presets
 from .ci import CIParams, em_fit_ci, sample_ci, umv_predict, wmv_predict
 from .curie_weiss import CWClassSpec, CWExperimentSpec
-from .data import SplitSpec, VoteDataError, VoteMatrix, accuracy, load_votes, rng_from, save_votes, split
+from .data import (SplitSpec, VoteDataError, VoteMatrix, accuracy, load_votes, rng_from, save_votes, split,
+                   write_csv_rows)
 from .em import EMConfig
 from .factor import FactorParams, MultiFactorParams, em_fit_factor, sample_factor
 from .factor import posterior_predict as factor_posterior_predict
@@ -42,11 +43,12 @@ def _json_dumps(payload: dict) -> str:
 
 
 def _write_posteriors(path: Path, v: VoteMatrix, gamma: np.ndarray) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item", "gamma", "label"])
-        for item, g in zip(v.item_ids, gamma):
-            writer.writerow([item, repr(float(g)), int(g >= 0.5)])
+    # A posterior is a function of the vote pattern, so few values repeat;
+    # they are keyed by their bits, as repr tells -0.0 from 0.0.
+    bits, keys = np.unique(np.asarray(gamma, dtype=float).view(np.int64), return_inverse=True)
+    tails = [f",{g!r},{int(g >= 0.5)}\n" for g in bits.view(float).tolist()]
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        write_csv_rows(fh, ["item", "gamma", "label"], v.item_ids, keys, tails)
 
 
 def _model_to_payload(model: str, params) -> dict:

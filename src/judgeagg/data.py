@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,11 +43,14 @@ class VoteMatrix:
     gold_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        votes = np.asarray(self.votes, dtype=np.int8)
+        # Check 0/1 on the caller's values before the int8 cast, which would
+        # wrap 256 to 0 and truncate 0.7 to 0.
+        votes = np.asarray(self.votes)
         if votes.ndim != 2 or votes.shape[0] < 1 or votes.shape[1] < 1:
             raise VoteDataError(f"votes must be a non-empty 2-D matrix, got shape {votes.shape}")
-        if not np.isin(votes, (0, 1)).all():
+        if not ((votes == 0) | (votes == 1)).all():
             raise VoteDataError("votes must contain only 0/1 entries")
+        votes = votes.astype(np.int8, copy=False)
         object.__setattr__(self, "votes", votes)
         if len(self.item_ids) != votes.shape[0]:
             raise VoteDataError("item_ids length must match number of rows")
@@ -54,12 +59,12 @@ class VoteMatrix:
         object.__setattr__(self, "item_ids", tuple(str(i) for i in self.item_ids))
         object.__setattr__(self, "judge_names", tuple(str(j) for j in self.judge_names))
         if self.gold_labels is not None:
-            gold = np.asarray(self.gold_labels, dtype=np.int8)
+            gold = np.asarray(self.gold_labels)
             if gold.shape != (votes.shape[0],):
                 raise VoteDataError("gold_labels must be a length-n vector")
-            if not np.isin(gold, (0, 1)).all():
+            if not ((gold == 0) | (gold == 1)).all():
                 raise VoteDataError("gold_labels must contain only 0/1 entries")
-            object.__setattr__(self, "gold_labels", gold)
+            object.__setattr__(self, "gold_labels", gold.astype(np.int8, copy=False))
 
     @property
     def n(self) -> int:
@@ -125,13 +130,94 @@ class SplitSpec:
 
 
 def load_votes(path: str) -> VoteMatrix:
-    """Parse a vote CSV: header ``item,<judge>...[,label]``, one row per item.
+    """Parse a UTF-8 vote CSV: header ``item,<judge>...[,label]``, one row per item.
 
     Cells must be exactly 0 or 1. A trailing column named ``label`` is parsed
     as gold labels. Errors name the offending row and column.
+
+    Plain files are parsed by a vectorized byte-level reader; quoted or CRLF
+    files, and every malformed one, go row by row through ``csv.reader``.
     """
-    with open(path, "r", newline="") as fh:
-        return _parse_votes(fh, path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    v = _parse_votes_fast(raw)
+    if v is None:
+        v = _parse_votes(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""), path)
+    return v
+
+
+def _parse_votes_fast(raw: bytes) -> VoteMatrix | None:
+    """The :func:`_parse_votes` result for a plain vote CSV, or None.
+
+    Accepts only input that ``csv.reader`` provably splits on commas and
+    newlines alone: valid UTF-8 with no quote, CR or NUL, no line as long as
+    the csv field limit, a well-formed header of width w, and every non-blank
+    line ending in exactly w - 1 cells ``,0`` or ``,1`` after an id. The file's
+    comma count must then equal rows * (w - 1), so no id holds a comma. Any
+    other input, malformed or merely unusual, returns None and is left to
+    :func:`_parse_votes`, the only source of error messages.
+    """
+    # 0xFF never occurs in UTF-8, so it can mark the bytes that are not ids.
+    if any(c in raw for c in (b'"', b"\r", b"\0", b"\xff")):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))  # ends[0] closes the header
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    if len(ends) < 2:
+        return None
+    header_end = int(ends[0])
+    try:
+        header = raw[:header_end].decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
+    if len(header) < 2 or header[0] != "item":
+        return None
+    has_gold = header[-1] == "label"
+    judges = header[1:-1] if has_gold else header[1:]
+    if not judges:
+        return None
+    n_cells = len(header) - 1
+    lengths = np.diff(ends) - 1
+    blank = ends[1:][lengths == 0]  # csv.reader yields [] for a blank line; both parsers skip it
+    ends = ends[1:][lengths > 0]
+    lengths = lengths[lengths > 0]
+    if (len(ends) == 0 or max(header_end, lengths.max()) >= csv.field_size_limit()
+            or raw.count(b",", header_end) != len(ends) * n_cells):
+        return None
+    marked = bytearray(raw)
+    mark = np.frombuffer(marked, dtype=np.uint8)
+    mark[:header_end + 1] = 0xFF
+    mark[blank] = 0xFF
+    cells = np.empty((n_cells, len(ends)), dtype=np.uint8)
+    # The first cell's comma on each line. Every byte from there to the line
+    # end is checked, so on a line shorter than its cells the newline before
+    # it (or, for the first line, the header's) fails the check.
+    at = ends - 2 * n_cells
+    for j in range(n_cells):
+        if (buf[at] != ord(",")).any():
+            return None
+        mark[at] = 0xFF
+        at += 1
+        cells[j] = buf[at] - ord("0")
+        mark[at] = 0xFF
+        at += 1
+    if cells.max() > 1:
+        return None
+    # What is left is each id followed by its line's newline (none after an
+    # unterminated last line).
+    try:
+        ids = marked.translate(None, b"\xff").decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
+    if raw.endswith(b"\n"):
+        ids.pop()
+    return VoteMatrix(
+        votes=np.ascontiguousarray(cells[:len(judges)].T).view(np.int8),
+        item_ids=tuple(ids),
+        judge_names=tuple(judges),
+        gold_labels=cells[-1].copy().view(np.int8) if has_gold else None,
+    )
 
 
 def _parse_votes(fh, name: str) -> VoteMatrix:
@@ -176,22 +262,68 @@ def _parse_votes(fh, name: str) -> VoteMatrix:
 
 
 def save_votes(v: VoteMatrix, path: str) -> None:
-    """Write a VoteMatrix in the CSV schema understood by :func:`load_votes`."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(dumps_votes(v))
+    """Write a VoteMatrix as UTF-8 in the CSV schema understood by :func:`load_votes`."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        _write_votes(fh, v)
 
 
 def dumps_votes(v: VoteMatrix) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["item", *v.judge_names] + (["label"] if v.gold_labels is not None else [])
-    writer.writerow(header)
-    for i in range(v.n):
-        row = [v.item_ids[i], *(str(int(b)) for b in v.votes[i])]
-        if v.gold_labels is not None:
-            row.append(str(int(v.gold_labels[i])))
-        writer.writerow(row)
+    _write_votes(buf, v)
     return buf.getvalue()
+
+
+def _write_votes(fh, v: VoteMatrix) -> None:
+    cells = v.votes if v.gold_labels is None else np.column_stack([v.votes, v.gold_labels])
+    patterns, _, inverse = vote_patterns(cells)
+    tails = ["," + ",".join(map(str, row)) + "\n" for row in patterns.astype(np.int8).tolist()]
+    header = ["item", *v.judge_names] + (["label"] if v.gold_labels is not None else [])
+    write_csv_rows(fh, header, v.item_ids, inverse, tails)
+
+
+# Characters that can make csv.writer quote a field; ids holding any of them
+# are formatted by csv.writer itself.
+_NEEDS_QUOTING = re.compile(r'[,"\r\n]')
+_CHUNK_ROWS = 1 << 16
+
+
+def write_csv_rows(fh, header: list[str], ids, keys: np.ndarray, tails: list[str]) -> None:
+    """Write ``header``, then the row ``ids[i] + tails[keys[i]]`` for each item i.
+
+    The output equals ``csv.writer(fh, lineterminator="\\n")`` writing the header
+    and each row ``[ids[i], *cells]``, given tails ``",<cell>,...,<cell>\\n"``
+    whose cells need no quoting. Each distinct tail is formatted once by the
+    caller; ids that need quoting go through csv.writer itself.
+    """
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for start in range(0, len(ids), _CHUNK_ROWS):
+        chunk = ids[start:start + _CHUNK_ROWS]
+        if _NEEDS_QUOTING.search("".join(chunk)):
+            chunk = [_csv_field(i) if _NEEDS_QUOTING.search(i) else i for i in chunk]
+        rows = map(operator.add, chunk, map(tails.__getitem__, keys[start:start + _CHUNK_ROWS].tolist()))
+        fh.write("".join(rows))
+
+
+def _csv_field(value: str) -> str:
+    # The same lineterminator as the rows: it decides whether "\n" is quoted.
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value])
+    return buf.getvalue()[:-1]
+
+
+def vote_patterns(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct vote rows as floats, their counts, and the row -> pattern index.
+
+    ``patterns[inverse]`` reproduces ``votes`` and ``counts`` sums to n. Rows
+    are keyed by their bit-packed bytes, which sorts far faster than
+    ``np.unique(votes, axis=0)`` and needs no special case for large K.
+    """
+    votes = np.asarray(votes)
+    packed = np.packbits(votes != 0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    return votes[first].astype(float), counts.astype(float), inverse.ravel()
 
 
 def split(v: VoteMatrix, s: SplitSpec) -> tuple[VoteMatrix, VoteMatrix]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import rng_from
+from .data import rng_from, vote_patterns  # noqa: F401  (the fitters import it from here)
 
 # Initialization strategies tried by the Ising/factor fitters, in order of
 # preference when objectives tie: warm start from the CI solution, then
@@ -87,20 +87,6 @@ def init_gamma(votes: np.ndarray, seed: int, strategy: str = "majority", stream:
     rng = rng_from(seed, 91, stream)
     jitter = rng.uniform(-0.05, 0.05, size=len(frac))
     return np.clip(base + jitter, 1e-3, 1.0 - 1e-3)
-
-
-def vote_patterns(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct vote rows as floats, their counts, and the row -> pattern index.
-
-    ``patterns[inverse]`` reproduces ``votes`` and ``counts`` sums to n. Rows
-    are keyed by their bit-packed bytes, which sorts far faster than
-    ``np.unique(votes, axis=0)`` and needs no special case for large K.
-    """
-    votes = np.asarray(votes)
-    packed = np.packbits(votes != 0, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
-    return votes[first].astype(float), counts.astype(float), inverse.ravel()
 
 
 def class_prior(w1: np.ndarray, w0: np.ndarray) -> float:

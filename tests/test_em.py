@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from judgeagg import VoteMatrix, em_fit_ci, em_fit_factor, em_fit_ising
+from judgeagg import VoteMatrix, em_fit_ci, em_fit_factor, em_fit_ising, save_votes
+from judgeagg.cli import main
 from judgeagg.em import PI_EPS, class_prior, vote_patterns
 
 
@@ -71,3 +73,32 @@ def test_unanimous_votes_give_finite_fit(family, fill):
     assert np.all(np.isfinite(gamma))
     assert 0.0 < fit.params.pi < 1.0
     assert np.all(np.isfinite(fit.trace.objective))
+
+
+def _constant_column_votes(n: int = 300, k: int = 6) -> VoteMatrix:
+    """Informative judges, except judge 1 always votes 1 and judge 2 always 0."""
+    rng = np.random.default_rng(17)
+    y = rng.random(n) < 0.6
+    votes = np.where(rng.random((n, k)) < 0.8, y[:, None], ~y[:, None]).astype(np.int8)
+    votes[:, 0] = 1
+    votes[:, 1] = 0
+    return VoteMatrix(votes=votes, item_ids=tuple(map(str, range(n))),
+                      judge_names=tuple(f"j{j + 1}" for j in range(k)), gold_labels=y.astype(np.int8))
+
+
+@pytest.mark.parametrize("family", list(FITTERS))
+def test_constant_judge_columns_give_finite_fit(family, tmp_path):
+    v = _constant_column_votes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = FITTERS[family](v)
+    assert np.all(np.isfinite(fit.posterior.gamma))
+    assert 0.0 < fit.params.pi < 1.0
+    for value in vars(fit.params).values():
+        if isinstance(value, np.ndarray):
+            assert np.all(np.isfinite(value))
+    assert np.all(np.isfinite(fit.trace.objective))
+    path = tmp_path / "votes.csv"
+    save_votes(v, str(path))
+    res = CliRunner().invoke(main, ["fit", "--votes", str(path), "--model", family, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
