@@ -15,18 +15,19 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import presets
 from .ci import CIParams, em_fit_ci, sample_ci, umv_predict, wmv_predict
-from .curie_weiss import CWClassSpec, CWExperimentSpec
 from .data import (SplitSpec, VoteDataError, VoteMatrix, accuracy, load_votes, rng_from, save_votes, split,
                    write_csv_rows)
 from .em import EMConfig
-from .factor import FactorParams, MultiFactorParams, em_fit_factor, sample_factor
-from .factor import posterior_predict as factor_posterior_predict
-from .ising import IsingParams, em_fit_ising, posterior_predict as ising_posterior_predict, sample_labeled
-from .reproduce import REPRODUCE_TARGETS
+
+# The Ising, factor and Curie-Weiss modules (and scipy.optimize with them),
+# presets and reproduce are imported by the commands that use them, so a CI
+# fit or prediction never loads them.
 
 MODELS = ("ci", "ising-shared", "ising-classdep", "factor", "umv")
+# The keys of reproduce.REPRODUCE_TARGETS, sorted; a test keeps them equal.
+REPRODUCE_NAMES = ("ci-setups", "cw-separation-thm31", "cw-separation-thm32", "factor-separation",
+                   "motivating-example", "motivating-example-classdep")
 
 
 def _fail(message: str, code: int = 2):
@@ -65,11 +66,15 @@ def _model_to_payload(model: str, params) -> dict:
 
 def _payload_to_params(payload: dict):
     if "mode" in payload:
+        from .ising import IsingParams
+
         return "ising", IsingParams.from_json(json.dumps(payload))
     if payload.get("model") == "ci":
         return "ci", CIParams(pi=payload["pi"], alpha=np.array(payload["alpha"]),
                               beta=np.array(payload["beta"]))
     if payload.get("model") == "factor":
+        from .factor import MultiFactorParams
+
         return "factor", MultiFactorParams(a=np.array(payload["a"]), b=np.array(payload["b"]),
                                            loadings=np.array(payload["loadings"]), pi=payload["pi"])
     raise VoteDataError("unrecognized model file")
@@ -77,25 +82,29 @@ def _payload_to_params(payload: dict):
 
 def _fit_model(model: str, v: VoteMatrix, config: EMConfig):
     if model == "ci":
-        fit = em_fit_ci(v, config)
-    elif model == "ising-shared":
-        fit = em_fit_ising(v, "class_independent", config)
-    elif model == "ising-classdep":
-        fit = em_fit_ising(v, "class_dependent", config)
-    elif model == "factor":
-        fit = em_fit_factor(v, 1, config)
-    else:
-        raise VoteDataError(f"model {model!r} cannot be fitted (umv has no parameters)")
-    return fit
+        return em_fit_ci(v, config)
+    if model in ("ising-shared", "ising-classdep"):
+        from .ising import em_fit_ising
+
+        return em_fit_ising(v, "class_independent" if model == "ising-shared" else "class_dependent", config)
+    if model == "factor":
+        from .factor import em_fit_factor
+
+        return em_fit_factor(v, 1, config)
+    raise VoteDataError(f"model {model!r} cannot be fitted (umv has no parameters)")
 
 
 def _predict_fixed(kind: str, params, v: VoteMatrix):
     if kind == "ci":
         return wmv_predict(params, v)
     if kind == "ising":
-        return ising_posterior_predict(params, v)
+        from .ising import posterior_predict
+
+        return posterior_predict(params, v)
     if kind == "factor":
-        return factor_posterior_predict(params, v)
+        from .factor import posterior_predict
+
+        return posterior_predict(params, v)
     raise ValueError(kind)
 
 
@@ -254,15 +263,23 @@ def evaluate(votes_path, models, trials, train_fraction, num_judges, out,
 @click.option("--out", type=click.Path(), required=True)
 def simulate(generator, n_items, num_judges, beta0, beta1, h0, c1, pi, a, b, lam, sigma2, seed, out):
     """Write a simulated vote CSV (with gold labels) from a named generator."""
+    from . import presets
+
     try:
         if generator.startswith("ci-setup-"):
             params = presets.CI_SETUPS[int(generator[-1])]
             v = sample_ci(params, n_items, seed)
         elif generator == "shared-demo":
+            from .ising import sample_labeled
+
             v = sample_labeled(presets.SHARED_DEMO, n_items, seed)
         elif generator == "classdep-demo":
+            from .ising import sample_labeled
+
             v = sample_labeled(presets.CLASSDEP_DEMO, n_items, seed)
         elif generator == "cw":
+            from .curie_weiss import CWClassSpec, CWExperimentSpec, sample_cw
+
             k = num_judges or 10
             spec = CWExperimentSpec(
                 pi=pi,
@@ -271,8 +288,6 @@ def simulate(generator, n_items, num_judges, beta0, beta1, h0, c1, pi, a, b, lam
                 k_grid=(k,), n=n_items, threshold_mode="explicit", threshold=0.5, seed=seed)
             rng = rng_from(seed, 79)
             y = (rng.random(n_items) < pi).astype(np.int8)
-            from .curie_weiss import sample_cw
-
             spins = np.zeros((n_items, k), dtype=np.int8)
             n1 = int(y.sum())
             if n1:
@@ -284,6 +299,8 @@ def simulate(generator, n_items, num_judges, beta0, beta1, h0, c1, pi, a, b, lam
                            judge_names=tuple(f"j{i+1}" for i in range(k)),
                            gold_labels=y)
         elif generator == "factor":
+            from .factor import FactorParams, sample_factor
+
             k = num_judges or 10
             v = sample_factor(FactorParams(pi=pi, a=a, b=b, lam=lam, sigma2_z=sigma2), k, n_items, seed)
         else:
@@ -301,11 +318,13 @@ def _cell(value) -> str:
 
 
 @main.command()
-@click.argument("name", type=click.Choice(sorted(REPRODUCE_TARGETS)))
+@click.argument("name", type=click.Choice(REPRODUCE_NAMES))
 @click.option("--seed", type=int, default=None, help="Override the experiment's frozen seed.")
 @click.option("--out", type=click.Path(), default=None, help="Directory for CSV artifacts.")
 def reproduce(name, seed, out):
     """Re-run a built-in experiment and check its reference values."""
+    from .reproduce import REPRODUCE_TARGETS
+
     try:
         checks, tables = REPRODUCE_TARGETS[name](seed)
     except (VoteDataError, OSError, ValueError) as exc:

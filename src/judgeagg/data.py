@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
 import re
 from dataclasses import dataclass, field
 
@@ -56,7 +55,9 @@ class VoteMatrix:
             raise VoteDataError("item_ids length must match number of rows")
         if len(self.judge_names) != votes.shape[1]:
             raise VoteDataError("judge_names length must match number of columns")
-        object.__setattr__(self, "item_ids", tuple(str(i) for i in self.item_ids))
+        # Rebuilding a million ids costs about 0.1 s; checking their types is cheaper.
+        if type(self.item_ids) is not tuple or not set(map(type, self.item_ids)) <= {str}:
+            object.__setattr__(self, "item_ids", tuple(str(i) for i in self.item_ids))
         object.__setattr__(self, "judge_names", tuple(str(j) for j in self.judge_names))
         if self.gold_labels is not None:
             gold = np.asarray(self.gold_labels)
@@ -290,36 +291,56 @@ _CHUNK_ROWS = 1 << 16
 def write_csv_rows(fh, header: list[str], ids, keys: np.ndarray, tails: list[str]) -> None:
     """Write ``header``, then the row ``ids[i] + tails[keys[i]]`` for each item i.
 
-    The output equals ``csv.writer(fh, lineterminator="\\n")`` writing the header
-    and each row ``[ids[i], *cells]``, given tails ``",<cell>,...,<cell>\\n"``
-    whose cells need no quoting. Each distinct tail is formatted once by the
-    caller; ids that need quoting go through csv.writer itself.
+    Each row reads as ``csv.writer(lineterminator="\\r\\n")`` formats
+    ``[ids[i], *cells]``, with the final ``\\r\\n`` written as ``\\n``, given
+    tails ``",<cell>,...,<cell>\\n"`` whose cells need no quoting: a field
+    holding a comma, quote, CR or LF is quoted, so any id or judge name reads
+    back intact. Each distinct tail is formatted once by the caller; ids that
+    need quoting go through csv.writer itself.
     """
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
+    fh.write(_csv_line(header))
     for start in range(0, len(ids), _CHUNK_ROWS):
         chunk = ids[start:start + _CHUNK_ROWS]
         if _NEEDS_QUOTING.search("".join(chunk)):
-            chunk = [_csv_field(i) if _NEEDS_QUOTING.search(i) else i for i in chunk]
-        rows = map(operator.add, chunk, map(tails.__getitem__, keys[start:start + _CHUNK_ROWS].tolist()))
+            chunk = [_csv_line([i])[:-1] if _NEEDS_QUOTING.search(i) else i for i in chunk]
+        rows = [""] * (2 * len(chunk))
+        rows[::2] = chunk
+        rows[1::2] = map(tails.__getitem__, keys[start:start + _CHUNK_ROWS].tolist())
         fh.write("".join(rows))
 
 
-def _csv_field(value: str) -> str:
-    # The same lineterminator as the rows: it decides whether "\n" is quoted.
+def _csv_line(fields: list[str]) -> str:
+    # With "\r\n" as its terminator csv.writer quotes a lone CR too; with
+    # "\n" (Python 3.11) it would leave one bare and break the row.
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([value])
-    return buf.getvalue()[:-1]
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
+
+
+# Up to this many judges a row is keyed by an integer counted over 2**K slots.
+_INT_KEY_MAX_K = 20
 
 
 def vote_patterns(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct vote rows as floats, their counts, and the row -> pattern index.
+    """Distinct 0/1 vote rows as floats, their counts, and the row -> pattern index.
 
-    ``patterns[inverse]`` reproduces ``votes`` and ``counts`` sums to n. Rows
-    are keyed by their bit-packed bytes, which sorts far faster than
-    ``np.unique(votes, axis=0)`` and needs no special case for large K.
+    ``patterns[inverse]`` reproduces ``votes`` and ``counts`` sums to n.
+    Patterns are in the order of their bits read with judge 0 as the most
+    significant. Up to K = 20 a row's key is that integer and the table comes
+    from ``np.bincount``, with no sort; beyond, rows are keyed by their
+    bit-packed bytes (the same order), which sorts far faster than
+    ``np.unique(votes, axis=0)``.
     """
     votes = np.asarray(votes)
+    k = votes.shape[1]
+    if k <= _INT_KEY_MAX_K:
+        bits = 1 << np.arange(k - 1, -1, -1)
+        keys = (votes != 0) @ bits
+        counts = np.bincount(keys, minlength=1 << k)
+        present = counts > 0
+        codes = np.flatnonzero(present)
+        patterns = ((codes[:, None] & bits) != 0).astype(float)
+        return patterns, counts[present].astype(float), (np.cumsum(present) - 1)[keys]
     packed = np.packbits(votes != 0, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import judgeagg
 from judgeagg.cli import main
+
+SRC = str(Path(judgeagg.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -173,3 +180,35 @@ class TestReproduce:
     def test_unknown_name_rejected(self, runner):
         res = runner.invoke(main, ["reproduce", "not-a-target"])
         assert res.exit_code == 2
+
+
+# Run in a fresh interpreter: which modules a CI fit and a CI prediction load.
+COLD_CI_RUN = """
+import json, sys
+from judgeagg.cli import main
+
+votes, out = sys.argv[1], sys.argv[2]
+loaded = {"import": sorted(sys.modules)}
+for args in (["fit", "--model", "ci", "--votes", votes, "--out", out],
+             ["predict", "--votes", votes, "--model-file", out + "/model.json", "--out", out + "/pred.csv"]):
+    try:
+        main(args, standalone_mode=False)
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+    loaded[args[0]] = sorted(sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_ci_fit_and_predict_skip_the_dependence_models(tmp_path):
+    votes = tmp_path / "votes.csv"
+    votes.write_text("item,j1,j2,j3\n" + "".join(f"i{i},{i % 2},{i % 3 % 2},1\n" for i in range(30)))
+    env = {**os.environ, "PYTHONPATH": SRC}
+    res = subprocess.run([sys.executable, "-c", COLD_CI_RUN, str(votes), str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    loaded = json.loads(res.stdout.splitlines()[-1])
+    assert (tmp_path / "out" / "pred.csv").exists()
+    for step in ("import", "fit", "predict"):
+        assert not set(loaded[step]) & {"scipy.optimize", "judgeagg.ising", "judgeagg.factor",
+                                        "judgeagg.curie_weiss", "judgeagg.reproduce", "judgeagg.presets"}, step

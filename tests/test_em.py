@@ -39,6 +39,27 @@ class TestVotePatterns:
         assert len(patterns) == 2 and counts.tolist() == [1.0, 1.0]
 
 
+def vote_patterns_reference(votes):
+    # The packed-byte keying every K used before integer keys, kept as the reference.
+    votes = np.asarray(votes)
+    packed = np.packbits(votes != 0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    return votes[first].astype(float), counts.astype(float), inverse.ravel()
+
+
+@pytest.mark.parametrize("k", [1, 6, 8, 9, 16, 20, 21, 70])  # integer keys up to K=20, packed bytes beyond
+def test_vote_patterns_match_packed_byte_reference(k):
+    rng = np.random.default_rng(k)
+    inputs = [(rng.random((n, k)) < 0.5).astype(np.int8) for n in (1, 5, 1000)]
+    inputs += [np.tile((rng.random(k) < 0.5).astype(np.int8), (50, 1)), np.ones((40, k), dtype=np.int8),
+               rng.random((300, k)) < 0.3]  # all-equal rows, then bool input
+    for votes in inputs:
+        for got, want in zip(vote_patterns(votes), vote_patterns_reference(votes), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 def test_class_prior_stays_inside_unit_interval():
     counts = np.array([3.0, 5.0])
     assert class_prior(counts, np.zeros(2)) == 1.0 - PI_EPS
