@@ -7,8 +7,8 @@ logistic-normal latent-factor model. Includes exact small-K enumeration,
 Curie-Weiss simulators for the risk-separation experiments, and a CLI.
 
 Submodules load on first use (PEP 562): ``import judgeagg`` imports none of
-them, and ``judgeagg.em_fit_ising`` imports ``judgeagg.ising`` (and with it
-``scipy.optimize``) only when first looked up.
+them, and ``judgeagg.em_fit_ising`` imports ``judgeagg.ising`` only when
+first looked up.
 """
 
 import importlib

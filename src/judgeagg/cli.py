@@ -20,9 +20,9 @@ from .data import (SplitSpec, VoteDataError, VoteMatrix, accuracy, load_votes, r
                    write_csv_rows)
 from .em import EMConfig
 
-# The Ising, factor and Curie-Weiss modules (and scipy.optimize with them),
-# presets and reproduce are imported by the commands that use them, so a CI
-# fit or prediction never loads them.
+# The Ising, factor and Curie-Weiss modules (and scipy.optimize with the
+# last), presets and reproduce are imported by the commands that use them, so
+# a CI fit or prediction never loads them.
 
 MODELS = ("ci", "ising-shared", "ising-classdep", "factor", "umv")
 # The keys of reproduce.REPRODUCE_TARGETS, sorted; a test keeps them equal.

@@ -182,33 +182,55 @@ class TestReproduce:
         assert res.exit_code == 2
 
 
-# Run in a fresh interpreter: which modules a CI fit and a CI prediction load.
-COLD_CI_RUN = """
+# Run in a fresh interpreter: the modules loaded by the import and after each
+# CLI command, given as JSON {step: argv}.
+COLD_RUN = """
 import json, sys
 from judgeagg.cli import main
 
-votes, out = sys.argv[1], sys.argv[2]
 loaded = {"import": sorted(sys.modules)}
-for args in (["fit", "--model", "ci", "--votes", votes, "--out", out],
-             ["predict", "--votes", votes, "--model-file", out + "/model.json", "--out", out + "/pred.csv"]):
+for step, args in json.loads(sys.argv[1]).items():
     try:
         main(args, standalone_mode=False)
     except SystemExit as exc:
         assert not exc.code, exc.code
-    loaded[args[0]] = sorted(sys.modules)
+    loaded[step] = sorted(sys.modules)
 print(json.dumps(loaded))
 """
 
+OPTIONAL_MODULES = {"scipy.optimize", "judgeagg.ising", "judgeagg.factor", "judgeagg.curie_weiss",
+                    "judgeagg.reproduce", "judgeagg.presets"}
 
-def test_ci_fit_and_predict_skip_the_dependence_models(tmp_path):
+
+def cold_run(tmp_path, steps: dict[str, list[str]]) -> dict[str, set[str]]:
+    """Run ``steps`` in a fresh interpreter; "{votes}" and "{out}" in their args are filled in."""
     votes = tmp_path / "votes.csv"
     votes.write_text("item,j1,j2,j3\n" + "".join(f"i{i},{i % 2},{i % 3 % 2},1\n" for i in range(30)))
+    fill = {"{votes}": str(votes), "{out}": str(tmp_path / "out")}
+    steps = {name: [fill.get(a, a) for a in args] for name, args in steps.items()}
     env = {**os.environ, "PYTHONPATH": SRC}
-    res = subprocess.run([sys.executable, "-c", COLD_CI_RUN, str(votes), str(tmp_path / "out")],
+    res = subprocess.run([sys.executable, "-c", COLD_RUN, json.dumps(steps)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
-    loaded = json.loads(res.stdout.splitlines()[-1])
+    return {step: set(mods) for step, mods in json.loads(res.stdout.splitlines()[-1]).items()}
+
+
+def test_ci_fit_and_predict_skip_the_dependence_models(tmp_path):
+    loaded = cold_run(tmp_path, {
+        "fit": ["fit", "--model", "ci", "--votes", "{votes}", "--out", "{out}"],
+        "predict": ["predict", "--votes", "{votes}", "--model-file", str(tmp_path / "out" / "model.json"),
+                    "--out", str(tmp_path / "out" / "pred.csv")],
+    })
     assert (tmp_path / "out" / "pred.csv").exists()
     for step in ("import", "fit", "predict"):
-        assert not set(loaded[step]) & {"scipy.optimize", "judgeagg.ising", "judgeagg.factor",
-                                        "judgeagg.curie_weiss", "judgeagg.reproduce", "judgeagg.presets"}, step
+        assert not loaded[step] & OPTIONAL_MODULES, step
+
+
+def test_ising_fits_skip_scipy_optimize(tmp_path):
+    loaded = cold_run(tmp_path, {
+        model: ["fit", "--model", model, "--votes", "{votes}", "--out", "{out}", "--max-iters", "3"]
+        for model in ("ising-classdep", "ising-shared")
+    })
+    for model in ("ising-classdep", "ising-shared"):
+        assert "judgeagg.ising" in loaded[model], model
+        assert not loaded[model] & (OPTIONAL_MODULES - {"judgeagg.ising"}), model

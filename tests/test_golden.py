@@ -20,13 +20,12 @@ GOLDEN = Path(__file__).parent / "golden"
 # Tolerance (relative and absolute) on posteriors and parameters per family,
 # for changes that reorder floating-point sums. CI updates are closed form.
 # The factor M-step's Newton solves amplify rounding more, and some factor
-# parameters are large (|a_j| > 7). The Ising M-step's L-BFGS solves stop on
-# a relative objective change of 1e-10, so a rounding-level change can move
-# one stop by one optimizer iteration: running the EM loops over distinct
-# vote patterns did that on ci-k6, shifting the class-dependent fit by 6e-7
-# (posteriors) and 5e-6 (couplings) while every EM iteration count stayed
-# the same.
-TOL = {"ci": 1e-9, "ising-shared": 1e-4, "ising-classdep": 1e-4, "factor": 1e-8}
+# parameters are large (|a_j| > 7). Each Ising M-step is a damped Newton
+# solve run to a gradient stop of 1e-9 * (1 + |objective|), from which
+# Newton's quadratic convergence leaves it far closer to the optimum, so
+# rounding cannot move the fit by a whole solver step: summing the Hessian
+# in chunks moved every Ising case by at most 5e-15.
+TOL = {"ci": 1e-9, "ising-shared": 1e-8, "ising-classdep": 1e-8, "factor": 1e-8}
 
 
 def _generator():

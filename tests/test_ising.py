@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
 from judgeagg import (
     CIParams,
@@ -25,7 +25,7 @@ from judgeagg import (
     sample_ising,
     wmv_predict,
 )
-from judgeagg import presets
+from judgeagg import ising, presets
 from judgeagg.curie_weiss import sample_cw
 from judgeagg.data import rng_from
 from judgeagg.ising import all_configs, class_conditional_table, posterior_predict, sample_labeled
@@ -230,6 +230,95 @@ class TestPseudoLikelihood:
                 assert abs(gw[a_, b_] - fd) <= 1e-6 * (1 + abs(fd))
 
 
+def random_pll_problem(rng, k, n=40):
+    votes = rng.integers(0, 2, (n, k)).astype(float)
+    return votes, 3.0 * rng.random(n), rng.normal(0, 0.6, k + k * (k - 1) // 2)
+
+
+def fd_hessian(fun, x, step=1e-5):
+    """Central differences of fun's gradient, one column per coordinate."""
+    cols = [(fun(x + step * e)[1] - fun(x - step * e)[1]) / (2 * step) for e in np.eye(len(x))]
+    return np.column_stack(cols)
+
+
+def log_partition_reference(h, W):
+    """Reference: full 2^K enumeration with one (2^K, K) configuration matrix."""
+    k = len(h)
+    configs = ((np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1).astype(float)
+    e = configs @ h + 0.5 * np.einsum("ij,jk,ik->i", configs, W, configs)
+    return float(logsumexp(e))
+
+
+class TestNewtonMStep:
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_hessian_matches_central_differences(self, k):
+        rng = np.random.default_rng(100 + k)
+        votes, w1, x = random_pll_problem(rng, k)
+        design = ising._PLLDesign(votes)
+        fun = lambda xx: ising._neg_pll_newton(xx, design, w1, 0.01, 2.0, 3.0)
+        hess = fun(x)[2]
+        np.testing.assert_array_equal(hess, hess.T)
+        np.testing.assert_allclose(hess, fd_hessian(fun, x), rtol=1e-6, atol=1e-6)
+
+        w0 = 3.0 * rng.random(len(votes))
+        xj = np.concatenate([x[:k], rng.normal(0, 0.6, k), x[k:]])
+        joint = lambda xx: ising._neg_pll_newton_shared(xx, design, w1, w0, 0.01, 2.0, 3.0)
+        np.testing.assert_allclose(joint(xj)[2], fd_hessian(joint, xj), rtol=1e-6, atol=1e-6)
+
+    def test_gradient_is_the_negated_public_gradient(self):
+        rng = np.random.default_rng(7)
+        k = 5
+        votes, w, x = random_pll_problem(rng, k)
+        f, g, _ = ising._neg_pll_newton(x, ising._PLLDesign(votes), w, 0.01, 1.0, 1.0)
+        h, W = ising._unpack(x, k)
+        gh, gw = pseudo_log_likelihood_grad(h, W, votes, w)
+        assert f == pytest.approx(-pseudo_log_likelihood(h, W, votes, w), rel=1e-13)
+        np.testing.assert_allclose(g, -np.concatenate([gh, gw[np.triu_indices(k, 1)]]), rtol=1e-12, atol=1e-12)
+
+    def test_chunked_hessian_equals_unchunked(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        k = 6
+        votes, w, x = random_pll_problem(rng, k, n=50)
+        whole = ising._PLLDesign(votes)
+        monkeypatch.setattr(ising, "_OUTER_TABLE_BYTES", 7 * 8 * (k + 1) * (k + 2) // 2)
+        chunked = ising._PLLDesign(votes)
+        assert whole.table is not None and chunked.table is None and chunked.chunk == 7
+        want = ising._neg_pll_newton(x, whole, w, 0.01, 2.0, 2.0)[2]
+        got = ising._neg_pll_newton(x, chunked, w, 0.01, 2.0, 2.0)[2]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_split_half_log_partition_matches_full_enumeration(self, k):
+        rng = np.random.default_rng(200 + k)
+        for scale in (0.3, 1.0, 2.5):
+            h = rng.normal(0, scale, k)
+            W = np.zeros((k, k))
+            iu = np.triu_indices(k, 1)
+            W[iu] = rng.normal(0, scale, len(iu[0]))
+            W = W + W.T
+            want = log_partition_reference(h, W)
+            assert log_partition(h, W) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["class_dependent", "class_independent"])
+    def test_em_msteps_end_at_the_gradient_stop(self, monkeypatch, mode):
+        solves = []
+        solve = ising.minimize
+
+        def recording(fun, x0):
+            res = solve(fun, x0)
+            f, g, _ = fun(res.x)
+            solves.append((res, f, np.max(np.abs(g))))
+            return res
+
+        monkeypatch.setattr(ising, "minimize", recording)
+        v = sample_labeled(presets.CLASSDEP_DEMO, 400, 0)
+        fit = em_fit_ising(v, mode, EMConfig(seed=0))
+        assert len(solves) >= fit.trace.n_iters
+        for res, f, gmax in solves:
+            assert res.success and res.nfev >= 1 and res.fun == f
+            assert gmax <= 1e-9 * (1.0 + abs(f))
+
+
 class TestFitPseudo:
     def test_recovers_generating_couplings(self):
         rng = np.random.default_rng(29)
@@ -263,6 +352,29 @@ class TestFitPseudo:
             best = pairs[int(np.argmax(vals))]
             assert best == (2, 3)
             assert w[2, 3] > 0
+
+    def test_step_cap_raises_with_the_best_iterate(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        votes = rng.integers(0, 2, (200, 4)).astype(float)
+        cut = []
+        solve = ising.minimize
+
+        def recording(fun, x0):
+            cut.append(solve(fun, x0))
+            return cut[-1]
+
+        monkeypatch.setattr(ising, "minimize", recording)
+        monkeypatch.setattr(ising, "_NEWTON_MAX_STEPS", 1)
+        with pytest.raises(ising.PseudoFitError, match="step cap") as err:
+            fit_pseudo(votes, np.ones(200))
+        (res,) = cut
+        assert not res.success and res.nit == 1
+        h, W = ising._unpack(res.x, 4)
+        np.testing.assert_array_equal(err.value.best_h, h)
+        np.testing.assert_array_equal(err.value.best_w, W)
+        # The one step taken improved on the zero start.
+        assert pseudo_log_likelihood(h, W, votes, np.ones(200)) > pseudo_log_likelihood(
+            np.zeros(4), np.zeros((4, 4)), votes, np.ones(200))
 
     def test_small_n_warns(self):
         rng = np.random.default_rng(31)
