@@ -9,21 +9,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
+from . import em
 from .data import PosteriorVector, VoteMatrix, rng_from
-from .em import (
-    EMConfig,
-    EMTrace,
-    class_prior,
-    init_gamma,
-    judge_weights,
-    relative_change,
-    resolve_flip,
-    vote_patterns,
-)
+from .em import PI_EPS, EMConfig, EMFit, EMTrace, judge_weights
 
 
 @dataclass(frozen=True)
@@ -104,15 +97,6 @@ def sample_ci(p: CIParams, n: int, seed: int, judge_names=None) -> VoteMatrix:
     return VoteMatrix(votes=votes, item_ids=ids, judge_names=names, gold_labels=y)
 
 
-@dataclass
-class EMFit:
-    """Fitted parameters, per-item posteriors, and run diagnostics."""
-
-    params: CIParams
-    posterior: PosteriorVector
-    trace: EMTrace
-
-
 def observed_loglik(p: CIParams, votes: np.ndarray) -> float:
     """Observed-data log-likelihood sum_i log(pi P(J_i|1) + (1-pi) P(J_i|0))."""
     return float(_row_log_evidence(p, votes).sum())
@@ -137,42 +121,39 @@ def em_fit_ci(v: VoteMatrix, config: EMConfig = EMConfig()) -> EMFit:
     updates for (alpha, beta) from soft counts and pi = mean(gamma). The
     penalized observed log-likelihood is non-decreasing (tracked in the
     trace); convergence is relative change below ``config.tol``. Both steps
-    run over the distinct vote rows.
+    run over the distinct vote rows, from one majority-vote start.
     """
-    if v.n < 2:
-        raise ValueError("em_fit_ci requires at least 2 items")
-    patterns, counts, inverse = vote_patterns(v.votes)
-    a, b = config.prior_a, config.prior_b
-    trace = EMTrace(init_used="majority")
-    if v.k >= 2 and np.all(patterns == patterns[:, :1]):
-        msg = "all judge columns identical: low-information input, estimates rely on priors"
-        warnings.warn(msg)
-        trace.notes.append(msg)
-    w1 = np.bincount(inverse, weights=init_gamma(v.votes, config.seed))
-    params = None
-    prev = -np.inf
-    for _ in range(config.max_iters):
-        params = _map_mstep(patterns, w1, counts - w1, a, b)
-        gamma = expit(_log_odds_matrix(params, patterns))
-        w1 = counts * gamma
-        ll = float(counts @ _row_log_evidence(params, patterns))
-        obj = ll + _beta_log_prior(params, a, b)
-        trace.loglik.append(ll)
-        trace.objective.append(obj)
-        trace.n_iters += 1
-        if relative_change(obj, prev) < config.tol:
-            trace.converged = True
-            break
-        prev = obj
-    if resolve_flip(float(params.weights().sum()), params.pi):
-        params = params.flipped()
-        gamma = 1.0 - gamma
-        trace.flipped = True
-    return EMFit(params=params, posterior=PosteriorVector(gamma[inverse]), trace=trace)
+    return em.run(v, partial(_CIModel, a=config.prior_a, b=config.prior_b), config, ("majority",))
 
 
-def _map_mstep(patterns: np.ndarray, w1: np.ndarray, w0: np.ndarray, a: float, b: float) -> CIParams:
-    """Beta-MAP (alpha, beta) and the class prior from per-pattern class weights."""
+class _CIModel:
+    """One restart of the CI family for :func:`em.run`, with Beta(a, b) priors on the rates."""
+
+    def __init__(self, patterns: np.ndarray, counts: np.ndarray, trace: EMTrace, a: float, b: float):
+        self.patterns, self.counts, self.a, self.b = patterns, counts, a, b
+        if patterns.shape[1] >= 2 and np.all(patterns == patterns[:, :1]):
+            msg = "all judge columns identical: low-information input, estimates rely on priors"
+            warnings.warn(msg)
+            trace.notes.append(msg)
+
+    def step(self, w1: np.ndarray, w0: np.ndarray, pi: float):
+        self.current = p = _map_mstep(self.patterns, w1, w0, pi, self.a, self.b)
+        ll = float(self.counts @ _row_log_evidence(p, self.patterns))
+        return expit(_log_odds_matrix(p, self.patterns)), ll, ll + _beta_log_prior(p, self.a, self.b)
+
+    def params(self, pi: float) -> CIParams:
+        return self.current
+
+    def orientation(self, params: CIParams) -> float:
+        return float(params.weights().sum())
+
+
+def _map_mstep(patterns: np.ndarray, w1: np.ndarray, w0: np.ndarray, pi: float, a: float, b: float) -> CIParams:
+    """Beta-MAP (alpha, beta) from per-pattern class weights, kept inside (0,1) like ``pi``.
+
+    Under a flat prior (a = b = 1) a judge that always (or never) votes 1
+    has a MAP rate of exactly 1 (or 0); the clip keeps it a valid rate.
+    """
     alpha = (a - 1.0 + w1 @ patterns) / (a + b - 2.0 + w1.sum())
     beta = (a - 1.0 + w0 @ (1.0 - patterns)) / (a + b - 2.0 + w0.sum())
-    return CIParams(pi=class_prior(w1, w0), alpha=alpha, beta=beta)
+    return CIParams(pi=pi, alpha=np.clip(alpha, PI_EPS, 1.0 - PI_EPS), beta=np.clip(beta, PI_EPS, 1.0 - PI_EPS))

@@ -18,13 +18,12 @@ import numpy as np
 from .ci import CIParams, em_fit_ci, sample_ci, umv_predict, wmv_predict
 from .data import (SplitSpec, VoteDataError, VoteMatrix, accuracy, load_votes, rng_from, save_votes, split,
                    write_csv_rows)
-from .em import EMConfig
+from .em import EMConfig, EMFit, EMTrace
 
 # The Ising, factor and Curie-Weiss modules (and scipy.optimize with the
-# last), presets and reproduce are imported by the commands that use them, so
-# a CI fit or prediction never loads them.
+# last), presets and reproduce are imported by the commands and models that
+# use them (see _MODELS), so a CI fit or prediction never loads them.
 
-MODELS = ("ci", "ising-shared", "ising-classdep", "factor", "umv")
 # The keys of reproduce.REPRODUCE_TARGETS, sorted; a test keeps them equal.
 REPRODUCE_NAMES = ("ci-setups", "cw-separation-thm31", "cw-separation-thm32", "factor-separation",
                    "motivating-example", "motivating-example-classdep")
@@ -52,60 +51,54 @@ def _write_posteriors(path: Path, v: VoteMatrix, gamma: np.ndarray) -> None:
         write_csv_rows(fh, ["item", "gamma", "label"], v.item_ids, keys, tails)
 
 
-def _model_to_payload(model: str, params) -> dict:
-    if model == "ci":
-        return {"model": "ci", "pi": params.pi,
-                "alpha": params.alpha.tolist(), "beta": params.beta.tolist()}
-    if model in ("ising-shared", "ising-classdep"):
-        return json.loads(params.to_json())
-    if model == "factor":
-        return {"model": "factor", "pi": params.pi, "a": params.a.tolist(),
-                "b": params.b.tolist(), "loadings": params.loadings.tolist()}
-    raise ValueError(model)
+def _ci_model():
+    return (em_fit_ci, wmv_predict,
+            lambda p: {"model": "ci", "pi": p.pi, "alpha": p.alpha.tolist(), "beta": p.beta.tolist()},
+            lambda d: CIParams(pi=d["pi"], alpha=np.array(d["alpha"]), beta=np.array(d["beta"])))
 
 
-def _payload_to_params(payload: dict):
+def _ising_model(mode: str):
+    from .ising import IsingParams, em_fit_ising, posterior_predict
+
+    return (lambda v, config: em_fit_ising(v, mode, config), posterior_predict,
+            lambda p: json.loads(p.to_json()), lambda d: IsingParams.from_json(json.dumps(d)))
+
+
+def _factor_model():
+    from .factor import MultiFactorParams, em_fit_factor, posterior_predict
+
+    return (lambda v, config: em_fit_factor(v, 1, config), posterior_predict,
+            lambda p: {"model": "factor", "pi": p.pi, "a": p.a.tolist(), "b": p.b.tolist(),
+                       "loadings": p.loadings.tolist()},
+            lambda d: MultiFactorParams(a=np.array(d["a"]), b=np.array(d["b"]),
+                                        loadings=np.array(d["loadings"]), pi=d["pi"]))
+
+
+def _umv_model():
+    # No parameters: the "fit" is the vote fraction, with an empty trace.
+    return (lambda v, config: EMFit(params=None, posterior=umv_predict(v), trace=EMTrace()),
+            lambda params, v: umv_predict(v), lambda p: {"model": "umv"}, lambda d: None)
+
+
+# Model name -> loader of its (fit, predict, to_payload, from_payload); a
+# command calls it, importing the model's module and reading the names then.
+_MODELS = {
+    "ci": _ci_model,
+    "ising-shared": lambda: _ising_model("class_independent"),
+    "ising-classdep": lambda: _ising_model("class_dependent"),
+    "factor": _factor_model,
+    "umv": _umv_model,
+}
+MODELS = tuple(_MODELS)
+
+
+def _saved_model_name(payload: dict) -> str:
+    """The model a ``model.json`` payload was written by: Ising payloads carry a mode, the rest a name."""
     if "mode" in payload:
-        from .ising import IsingParams
-
-        return "ising", IsingParams.from_json(json.dumps(payload))
-    if payload.get("model") == "ci":
-        return "ci", CIParams(pi=payload["pi"], alpha=np.array(payload["alpha"]),
-                              beta=np.array(payload["beta"]))
-    if payload.get("model") == "factor":
-        from .factor import MultiFactorParams
-
-        return "factor", MultiFactorParams(a=np.array(payload["a"]), b=np.array(payload["b"]),
-                                           loadings=np.array(payload["loadings"]), pi=payload["pi"])
+        return "ising-shared" if payload["mode"] == "class_independent" else "ising-classdep"
+    if payload.get("model") in ("ci", "factor", "umv"):
+        return payload["model"]
     raise VoteDataError("unrecognized model file")
-
-
-def _fit_model(model: str, v: VoteMatrix, config: EMConfig):
-    if model == "ci":
-        return em_fit_ci(v, config)
-    if model in ("ising-shared", "ising-classdep"):
-        from .ising import em_fit_ising
-
-        return em_fit_ising(v, "class_independent" if model == "ising-shared" else "class_dependent", config)
-    if model == "factor":
-        from .factor import em_fit_factor
-
-        return em_fit_factor(v, 1, config)
-    raise VoteDataError(f"model {model!r} cannot be fitted (umv has no parameters)")
-
-
-def _predict_fixed(kind: str, params, v: VoteMatrix):
-    if kind == "ci":
-        return wmv_predict(params, v)
-    if kind == "ising":
-        from .ising import posterior_predict
-
-        return posterior_predict(params, v)
-    if kind == "factor":
-        from .factor import posterior_predict
-
-        return posterior_predict(params, v)
-    raise ValueError(kind)
 
 
 @click.group()
@@ -141,23 +134,18 @@ def fit(votes_path, model, out, seed, tol, max_iters, prior_a, prior_b):
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
         config = _em_config(seed, tol, max_iters, prior_a, prior_b)
-        if model == "umv":
-            post = umv_predict(v)
-            payload = {"model": "umv"}
-            trace_lines = []
-        else:
-            fitres = _fit_model(model, v, config)
-            post = fitres.posterior
-            payload = _model_to_payload(model, fitres.params)
-            trace_lines = [
-                f"iter {i}: objective={obj:.6f} loglik={ll:.6f}"
-                for i, (obj, ll) in enumerate(zip(fitres.trace.objective, fitres.trace.loglik))
-            ]
+        fit_model, _, to_payload, _ = _MODELS[model]()
+        fitres = fit_model(v, config)
+        payload = to_payload(fitres.params)
+        trace_lines = [
+            f"iter {i}: objective={obj:.6f} loglik={ll:.6f}"
+            for i, (obj, ll) in enumerate(zip(fitres.trace.objective, fitres.trace.loglik))
+        ]
         (outdir / "model.json").write_text(_json_dumps(payload) + "\n")
-        _write_posteriors(outdir / "posteriors.csv", v, post.gamma)
+        _write_posteriors(outdir / "posteriors.csv", v, fitres.posterior.gamma)
         report = {"model": model, "seed": seed, "n": v.n, "K": v.k}
         if v.gold_labels is not None:
-            report["accuracy"] = accuracy(post.hard_labels, v.gold_labels)
+            report["accuracy"] = accuracy(fitres.posterior.hard_labels, v.gold_labels)
         report["params"] = payload
         (outdir / "report.json").write_text(_json_dumps(report) + "\n")
         for line in trace_lines:
@@ -176,11 +164,8 @@ def predict(votes_path, model_file, out):
     try:
         v = load_votes(votes_path)
         payload = json.loads(Path(model_file).read_text())
-        if payload.get("model") == "umv":
-            post = umv_predict(v)
-        else:
-            kind, params = _payload_to_params(payload)
-            post = _predict_fixed(kind, params, v)
+        _, predict_fixed, _, from_payload = _MODELS[_saved_model_name(payload)]()
+        post = predict_fixed(from_payload(payload), v)
         _write_posteriors(Path(out), v, post.gamma)
         click.echo(f"wrote {out}")
     except (VoteDataError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -220,12 +205,8 @@ def evaluate(votes_path, models, trials, train_fraction, num_judges, out,
             train, test = split(sub, SplitSpec(train_fraction=train_fraction, seed=trial_seed))
             config = _em_config(trial_seed, tol, max_iters, prior_a, prior_b)
             for m in model_list:
-                if m == "umv":
-                    post = umv_predict(test)
-                else:
-                    fitres = _fit_model(m, train, config)
-                    kind = {"ci": "ci", "factor": "factor"}.get(m, "ising")
-                    post = _predict_fixed(kind, fitres.params, test)
+                fit_model, predict_fixed, _, _ = _MODELS[m]()
+                post = predict_fixed(fit_model(train, config).params, test)
                 results[m].append(accuracy(post.hard_labels, test.gold_labels))
         report = {"seed": seed, "n": v.n, "K": v.k, "trials": trials,
                   "train_fraction": train_fraction,
@@ -269,31 +250,22 @@ def simulate(generator, n_items, num_judges, beta0, beta1, h0, c1, pi, a, b, lam
         if generator.startswith("ci-setup-"):
             params = presets.CI_SETUPS[int(generator[-1])]
             v = sample_ci(params, n_items, seed)
-        elif generator == "shared-demo":
+        elif generator in ("shared-demo", "classdep-demo"):
             from .ising import sample_labeled
 
-            v = sample_labeled(presets.SHARED_DEMO, n_items, seed)
-        elif generator == "classdep-demo":
-            from .ising import sample_labeled
-
-            v = sample_labeled(presets.CLASSDEP_DEMO, n_items, seed)
+            demo = presets.SHARED_DEMO if generator == "shared-demo" else presets.CLASSDEP_DEMO
+            v = sample_labeled(demo, n_items, seed)
         elif generator == "cw":
-            from .curie_weiss import CWClassSpec, CWExperimentSpec, sample_cw
+            from .curie_weiss import CWClassSpec, CWExperimentSpec, sample_labeled_cw
 
             k = num_judges or 10
+            # The spec checks the inputs (pi, both betas, n) and carries them to the sampler.
             spec = CWExperimentSpec(
                 pi=pi,
                 class0=CWClassSpec(beta=beta0, field_mode="constant", field_value=h0),
                 class1=CWClassSpec(beta=beta1, field_mode="scaled", field_value=c1),
                 k_grid=(k,), n=n_items, threshold_mode="explicit", threshold=0.5, seed=seed)
-            rng = rng_from(seed, 79)
-            y = (rng.random(n_items) < pi).astype(np.int8)
-            spins = np.zeros((n_items, k), dtype=np.int8)
-            n1 = int(y.sum())
-            if n1:
-                spins[y == 1] = sample_cw(k, beta1, c1 / k, n1, seed * 4 + 1)
-            if n_items - n1:
-                spins[y == 0] = sample_cw(k, beta0, h0, n_items - n1, seed * 4 + 2)
+            y, spins = sample_labeled_cw(spec, k, rng_from(seed, 79), (seed * 4 + 1, seed * 4 + 2))
             v = VoteMatrix(votes=((spins + 1) // 2).astype(np.int8),
                            item_ids=tuple(str(i) for i in range(n_items)),
                            judge_names=tuple(f"j{i+1}" for i in range(k)),

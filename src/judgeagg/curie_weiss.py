@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import expit, gammaln, logsumexp
 
-from .data import rng_from
+from .data import rng_from, separation_row
 
 
 def magnetization_support(k: int) -> np.ndarray:
@@ -215,6 +215,21 @@ class CWExperimentSpec:
             raise ValueError("explicit threshold_mode requires a threshold")
 
 
+def sample_labeled_cw(spec: CWExperimentSpec, k: int, label_rng, seeds: tuple[int, int]):
+    """Labeled exact spins at K = k: Y ~ Bernoulli(spec.pi), spins from the item's class law.
+
+    Labels come from ``label_rng``; ``seeds`` seed the :func:`sample_cw`
+    draws of class 1 and class 0, in that order. Returns (labels, spins).
+    """
+    y = (label_rng.random(spec.n) < spec.pi).astype(np.int8)
+    spins = np.zeros((spec.n, k), dtype=np.int8)
+    for label, law, seed in ((1, spec.class1, seeds[0]), (0, spec.class0, seeds[1])):
+        count = int(np.count_nonzero(y == label))
+        if count:
+            spins[y == label] = sample_cw(k, law.beta, law.field_at(k), count, seed)
+    return y, spins
+
+
 def auto_threshold(spec: CWExperimentSpec) -> float:
     """Default thresholds for the magnetization statistic.
 
@@ -249,16 +264,8 @@ def run_separation(spec: CWExperimentSpec) -> list[dict]:
     t = spec.threshold if spec.threshold_mode == "explicit" else auto_threshold(spec)
     rows = []
     for i, k in enumerate(spec.k_grid):
-        rng = rng_from(spec.seed, 53, i)
-        y = (rng.random(spec.n) < spec.pi).astype(np.int8)
-        spins = np.zeros((spec.n, k), dtype=np.int8)
-        n1 = int(y.sum())
-        if n1:
-            spins[y == 1] = sample_cw(k, spec.class1.beta, spec.class1.field_at(k), n1,
-                                      seed=spec.seed * 4 + 1 + 8 * i)
-        if spec.n - n1:
-            spins[y == 0] = sample_cw(k, spec.class0.beta, spec.class0.field_at(k), spec.n - n1,
-                                      seed=spec.seed * 4 + 2 + 8 * i)
+        y, spins = sample_labeled_cw(spec, k, rng_from(spec.seed, 53, i),
+                                     (spec.seed * 4 + 1 + 8 * i, spec.seed * 4 + 2 + 8 * i))
         pred_bayes = magnetization_classifier(spins, t, spec.statistic)
         votes = ((spins + 1) // 2).astype(np.int8)
         q0 = true_marginals(spec.class0, k)
@@ -267,15 +274,5 @@ def run_separation(spec: CWExperimentSpec) -> list[dict]:
             pred_ci = np.full(spec.n, 1 if spec.pi >= 0.5 else 0, dtype=np.int8)
         else:
             pred_ci = ci_oracle_predict(q0, q1, spec.pi, votes)
-        risk_b = float(np.mean(pred_bayes != y))
-        risk_c = float(np.mean(pred_ci != y))
-        se = (lambda r: float(np.sqrt(r * (1 - r) / spec.n)) if spec.n > 1 else float("nan"))
-        rows.append({
-            "K": int(k),
-            "risk_bayes": risk_b,
-            "risk_ci": risk_c,
-            "sep": risk_c - risk_b,
-            "se_bayes": se(risk_b),
-            "se_ci": se(risk_c),
-        })
+        rows.append(separation_row(k, pred_bayes, pred_ci, y))
     return rows

@@ -369,3 +369,17 @@ def accuracy(pred, gold) -> float:
     if pred.shape != gold.shape or pred.ndim != 1 or pred.size < 1:
         raise ValueError(f"length mismatch: pred {pred.shape} vs gold {gold.shape}")
     return float(np.mean(pred == gold))
+
+
+def separation_row(k: int, pred_bayes, pred_ci, gold) -> dict:
+    """One row of a risk-separation table at judge count k.
+
+    Risks of the Bayes-side and the CI rule against the gold labels, their
+    gap, and binomial standard errors, which are NaN for a single item.
+    """
+    n = len(gold)
+    risk_b = float(np.mean(pred_bayes != gold))
+    risk_c = float(np.mean(pred_ci != gold))
+    se_b, se_c = (float(np.sqrt(r * (1 - r) / n)) if n > 1 else float("nan") for r in (risk_b, risk_c))
+    return {"K": int(k), "risk_bayes": risk_b, "risk_ci": risk_c, "sep": risk_c - risk_b,
+            "se_bayes": se_b, "se_ci": se_c}

@@ -10,6 +10,16 @@ the loops run over the distinct rows (:func:`vote_patterns`): a pattern
 carries its item count and its summed class-1 responsibility ``w1``, with
 ``w0 = counts - w1`` for class 0. Per-item posteriors are read back through
 the row -> pattern index once, when a fit returns.
+
+:func:`run` is that loop, written once. A model family plugs in as a class
+built once per restart as ``family(patterns, counts, trace)``, with three
+methods:
+
+- ``step(w1, w0, pi) -> (gamma, loglik, objective)``: one M-step from the
+  class weights, then one E-step at the new parameters, per pattern;
+- ``params(pi)``: the current parameters, with class prior ``pi``; they
+  provide ``pi`` and ``flipped()``;
+- ``orientation(params)``: the weight sum :func:`resolve_flip` reads.
 """
 
 from __future__ import annotations
@@ -17,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit, logsumexp
 
-from .data import rng_from, vote_patterns  # noqa: F401  (the fitters import it from here)
+from .data import PosteriorVector, VoteMatrix, rng_from, vote_patterns
 
 # Initialization strategies tried by the Ising/factor fitters, in order of
 # preference when objectives tie: warm start from the CI solution, then
@@ -71,6 +82,15 @@ class EMTrace:
     notes: list[str] = field(default_factory=list)
 
 
+@dataclass
+class EMFit:
+    """Fitted parameters, per-item posteriors, and run diagnostics."""
+
+    params: object
+    posterior: PosteriorVector
+    trace: EMTrace
+
+
 def init_gamma(votes: np.ndarray, seed: int, strategy: str = "majority", stream: int = 0) -> np.ndarray:
     """Initial responsibilities from the vote matrix.
 
@@ -119,3 +139,57 @@ def resolve_flip(weight_sum: float, pi: float, anchor_tol: float = 0.1) -> bool:
 
 def relative_change(new: float, old: float) -> float:
     return abs(new - old) / (1.0 + abs(new))
+
+
+def mixture_estep(counts: np.ndarray, pi: float, s1: np.ndarray, s0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Posteriors and observed log-likelihood from per-pattern class log-scores s1, s0."""
+    gamma = expit(np.log(pi / (1.0 - pi)) + s1 - s0)
+    ll = float(counts @ logsumexp(np.stack([np.log(pi) + s1, np.log1p(-pi) + s0]), axis=0))
+    return gamma, ll
+
+
+def run(v: VoteMatrix, family, config: EMConfig, strategies=INIT_STRATEGIES, ci_fit=None) -> EMFit:
+    """Fit one model family by EM over the distinct vote rows of ``v``.
+
+    Runs one restart per initialization strategy, in order: "ci" starts from
+    ``ci_fit(v, config)``'s posteriors (clipped interior), the others from
+    :func:`init_gamma`. Each restart alternates ``family.step`` until the
+    objective's relative change falls below ``config.tol`` or
+    ``config.max_iters`` steps. A later restart replaces the best so far only
+    if it wins by :data:`RESTART_MARGIN`; the winner's labeling is then
+    oriented by :func:`resolve_flip`.
+    """
+    if v.n < 2:
+        raise ValueError("an EM fit requires at least 2 items")
+    patterns, counts, inverse = vote_patterns(v.votes)
+    best = None
+    for stream, strategy in enumerate(strategies):
+        if strategy == "ci":
+            gamma0 = np.clip(ci_fit(v, config).posterior.gamma, 1e-3, 1 - 1e-3)
+        else:
+            gamma0 = init_gamma(v.votes, config.seed, strategy, stream=0 if strategy == "majority" else stream)
+        w1 = np.bincount(inverse, weights=gamma0)
+        trace = EMTrace(init_used=strategy)
+        model = family(patterns, counts, trace)
+        prev = -np.inf
+        for _ in range(config.max_iters):
+            w0 = counts - w1
+            pi = class_prior(w1, w0)
+            gamma, ll, obj = model.step(w1, w0, pi)
+            w1 = counts * gamma
+            trace.loglik.append(ll)
+            trace.objective.append(obj)
+            trace.n_iters += 1
+            if relative_change(obj, prev) < config.tol:
+                trace.converged = True
+                break
+            prev = obj
+        if best is None or obj > best[0] + RESTART_MARGIN * abs(best[0]):
+            best = obj, gamma, pi, model, trace
+    _, gamma, pi, model, trace = best
+    params = model.params(pi)
+    if resolve_flip(model.orientation(params), params.pi):
+        params = params.flipped()
+        gamma = 1.0 - gamma
+        trace.flipped = True
+    return EMFit(params=params, posterior=PosteriorVector(gamma[inverse]), trace=trace)

@@ -13,20 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logsumexp
 
+from . import em
 from .ci import em_fit_ci
-from .data import PosteriorVector, VoteMatrix, rng_from
-from .em import (
-    EMConfig,
-    EMTrace,
-    INIT_STRATEGIES,
-    RESTART_MARGIN,
-    class_prior,
-    init_gamma,
-    judge_weights,
-    relative_change,
-    resolve_flip,
-    vote_patterns,
-)
+from .data import PosteriorVector, VoteMatrix, rng_from, separation_row
+from .em import EMConfig, EMFit, judge_weights, mixture_estep
 
 QUAD_NODES = 61
 
@@ -167,18 +157,8 @@ def run_factor_separation(p: FactorParams, k_grid, n: int, seed: int) -> list[di
         ci_scores = np.log(p.pi / (1.0 - p.pi)) + k * (
             s * np.log(q1 / q0) + (1.0 - s) * np.log((1.0 - q1) / (1.0 - q0))
         )
-        gold = v.gold_labels
-        risk_b = float(np.mean((bayes_scores >= 0).astype(int) != gold))
-        risk_c = float(np.mean((ci_scores >= 0).astype(int) != gold))
-        se = lambda r: float(np.sqrt(r * (1 - r) / n)) if n > 1 else float("nan")
-        rows.append({
-            "K": int(k),
-            "risk_bayes": risk_b,
-            "risk_ci": risk_c,
-            "sep": risk_c - risk_b,
-            "se_bayes": se(risk_b),
-            "se_ci": se(risk_c),
-        })
+        rows.append(separation_row(k, (bayes_scores >= 0).astype(int), (ci_scores >= 0).astype(int),
+                                   v.gold_labels))
     return rows
 
 
@@ -231,14 +211,7 @@ def posterior_predict(p: MultiFactorParams, v: VoteMatrix) -> PosteriorVector:
     return PosteriorVector(expit(np.log(p.pi / (1.0 - p.pi)) + l1 - l0))
 
 
-@dataclass
-class FactorEMFit:
-    params: MultiFactorParams
-    posterior: PosteriorVector
-    trace: EMTrace
-
-
-def em_fit_factor(v: VoteMatrix, r: int = 1, config: EMConfig = EMConfig()) -> FactorEMFit:
+def em_fit_factor(v: VoteMatrix, r: int = 1, config: EMConfig = EMConfig()) -> EMFit:
     """Quadrature EM for the rank-1 per-judge factor model.
 
     The E-step scores both classes with 61-node quadrature evidence (the
@@ -252,69 +225,40 @@ def em_fit_factor(v: VoteMatrix, r: int = 1, config: EMConfig = EMConfig()) -> F
     """
     if r != 1:
         raise ValueError("only rank r=1 fitting is supported")
-    if v.n < 2:
-        raise ValueError("em_fit_factor requires at least 2 items")
-    patterns, counts, inverse = vote_patterns(v.votes)
-
-    best = None
-    for stream, strategy in enumerate(INIT_STRATEGIES):
-        if strategy == "ci":
-            gamma0 = np.clip(em_fit_ci(v, config).posterior.gamma, 1e-3, 1 - 1e-3)
-        else:
-            gamma0 = init_gamma(v.votes, config.seed, strategy, stream=0 if strategy == "majority" else stream)
-        w1 = np.bincount(inverse, weights=gamma0)
-        run = _factor_em_run(patterns, counts, w1, config, strategy)
-        if best is None or run[0] > best[0] + RESTART_MARGIN * abs(best[0]):
-            best = run
-    _, gamma, params, trace = best
-
-    if params.loadings[:, 0].sum() < 0:
-        params = MultiFactorParams(a=params.a, b=params.b, loadings=-params.loadings, pi=params.pi)
-    alpha, beta = _implied_rates(params)
-    if resolve_flip(float(judge_weights(alpha, beta).sum()), params.pi):
-        params = params.flipped()
-        gamma = 1.0 - gamma
-        trace.flipped = True
-    return FactorEMFit(params=params, posterior=PosteriorVector(gamma[inverse]), trace=trace)
+    return em.run(v, _FactorModel, config, ci_fit=em_fit_ci)
 
 
-def _implied_rates(p: MultiFactorParams) -> tuple[np.ndarray, np.ndarray]:
-    lam = p.loadings[:, 0]
-    eps = 1e-9
-    wq = np.exp(_LOG_WQ)
-    alpha = wq @ expit(p.eta(1)[None, :] + np.outer(_ZQ, lam))
-    m0 = wq @ expit(p.eta(0)[None, :] + np.outer(_ZQ, lam))
-    return np.clip(alpha, eps, 1 - eps), np.clip(1.0 - m0, eps, 1 - eps)
+class _FactorModel:
+    """One restart of the rank-1 factor family for :func:`em.run`."""
 
+    def __init__(self, patterns, counts, trace):
+        k = patterns.shape[1]
+        self.patterns, self.counts = patterns, counts
+        self.a = np.zeros(k)
+        self.b = np.zeros(k)
+        # Small positive loading init: breaks the lam = 0 stationary point while
+        # staying below the noise floor, so a null factor is not inflated.
+        self.lam = 0.05 * np.ones(k)
 
-def _factor_em_run(patterns, counts, w1, config, strategy):
-    """One restart over distinct vote rows; returns the per-pattern posterior."""
-    k = patterns.shape[1]
-    a = np.zeros(k)
-    b = np.zeros(k)
-    # Small positive loading init: breaks the lam = 0 stationary point while
-    # staying below the noise floor, so a null factor is not inflated.
-    lam = 0.05 * np.ones(k)
-    trace = EMTrace(init_used=strategy)
-    prev_obj = -np.inf
-    for _ in range(config.max_iters):
-        w0 = counts - w1
-        pi = class_prior(w1, w0)
-        a, b, lam = _mstep_newton(patterns, w1, w0, a, b, lam)
-        l0 = _quad_scores(patterns, b, lam)
-        l1 = _quad_scores(patterns, a + b, lam)
-        gamma = expit(np.log(pi / (1.0 - pi)) + l1 - l0)
-        w1 = counts * gamma
-        ll = float(counts @ logsumexp(np.stack([np.log(pi) + l1, np.log1p(-pi) + l0]), axis=0))
-        trace.loglik.append(ll)
-        trace.objective.append(ll)
-        trace.n_iters += 1
-        if relative_change(ll, prev_obj) < config.tol:
-            trace.converged = True
-            break
-        prev_obj = ll
-    params = MultiFactorParams(a=a, b=b, loadings=lam[:, None], pi=pi)
-    return trace.objective[-1], gamma, params, trace
+    def step(self, w1, w0, pi):
+        self.a, self.b, self.lam = _mstep_newton(self.patterns, w1, w0, self.a, self.b, self.lam)
+        l0 = _quad_scores(self.patterns, self.b, self.lam)
+        l1 = _quad_scores(self.patterns, self.a + self.b, self.lam)
+        gamma, ll = mixture_estep(self.counts, pi, l1, l0)
+        return gamma, ll, ll
+
+    def params(self, pi) -> MultiFactorParams:
+        lam = -self.lam if self.lam.sum() < 0 else self.lam
+        return MultiFactorParams(a=self.a, b=self.b, loadings=lam[:, None], pi=pi)
+
+    def orientation(self, params: MultiFactorParams) -> float:
+        # Weights of the CI rule on the model's implied per-judge rates.
+        lam = params.loadings[:, 0]
+        eps = 1e-9
+        wq = np.exp(_LOG_WQ)
+        alpha = wq @ expit(params.eta(1)[None, :] + np.outer(_ZQ, lam))
+        m0 = wq @ expit(params.eta(0)[None, :] + np.outer(_ZQ, lam))
+        return float(judge_weights(np.clip(alpha, eps, 1 - eps), np.clip(1.0 - m0, eps, 1 - eps)).sum())
 
 
 def _mstep_newton(votes, w1, w0, a, b, lam, n_steps: int = 12):

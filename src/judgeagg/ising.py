@@ -16,20 +16,10 @@ from functools import cache, partial
 import numpy as np
 from scipy.special import expit, logsumexp
 
+from . import em
 from .ci import CIParams, em_fit_ci
 from .data import PosteriorVector, VoteMatrix, rng_from
-from .em import (
-    EMConfig,
-    EMTrace,
-    INIT_STRATEGIES,
-    RESTART_MARGIN,
-    class_prior,
-    init_gamma,
-    judge_weights,
-    relative_change,
-    resolve_flip,
-    vote_patterns,
-)
+from .em import INIT_STRATEGIES, PI_EPS, EMConfig, EMFit, mixture_estep
 
 K_MAX_EXACT = 15
 
@@ -273,13 +263,11 @@ def ci_from_marginals(p: IsingParams, k_max_exact: int = K_MAX_EXACT) -> CIParam
 
 def sample_ising(h, W, n: int, seed: int, k_max_exact: int = K_MAX_EXACT) -> np.ndarray:
     """n exact draws from one class-conditional model via the 2^K categorical."""
-    h = np.asarray(h, dtype=float)
-    W = _check_coupling(W, "W")
-    configs = all_configs(len(h), k_max_exact)
-    e = _energies(configs, h, W)
-    probs = np.exp(e - logsumexp(e))
-    idx = rng_from(seed, 23).choice(len(configs), size=n, p=probs)
-    return configs[idx].astype(np.int8)
+    # One class model, stored as both classes so class_conditional_table normalizes it.
+    p = IsingParams(pi=0.5, h0=h, h1=h, W0=W, W1=W)
+    probs = class_conditional_table(p, 1, k_max_exact)
+    idx = rng_from(seed, 23).choice(len(probs), size=n, p=probs)
+    return all_configs(p.k, k_max_exact)[idx].astype(np.int8)
 
 
 def sample_labeled(p: IsingParams, n: int, seed: int, judge_names=None) -> VoteMatrix:
@@ -558,25 +546,14 @@ def fit_pseudo(v: VoteMatrix | np.ndarray, weights, lam: float = LAMBDA_REG,
 # Generalized EM driver
 
 
-@dataclass
-class IsingEMFit:
-    params: IsingParams
-    posterior: PosteriorVector
-    trace: EMTrace
-
-
-def _exact_class_scores(votes, h, W, k_max_exact):
-    return _energies(votes, h, W) - log_partition(h, W, k_max_exact)
-
-
 def _class_param_fit(design, w1, w0, mode, x1, x0, lam, a, b):
     """One M-step: pseudo-likelihood fits for both class models, weighted by w1 and w0."""
     votes, k = design.votes, design.k
     if k == 1:
         # No couplings exist: the weighted Bernoulli MAP has a closed form
-        # identical to the CI fitter's update.
-        s1 = (a - 1.0 + w1 @ votes[:, 0]) / (a + b - 2.0 + w1.sum())
-        s0 = (a - 1.0 + w0 @ votes[:, 0]) / (a + b - 2.0 + w0.sum())
+        # identical to the CI fitter's update, kept inside (0,1) as there.
+        s1 = np.clip((a - 1.0 + w1 @ votes[:, 0]) / (a + b - 2.0 + w1.sum()), PI_EPS, 1.0 - PI_EPS)
+        s0 = np.clip((a - 1.0 + w0 @ votes[:, 0]) / (a + b - 2.0 + w0.sum()), PI_EPS, 1.0 - PI_EPS)
         z = np.zeros((1, 1))
         return (np.array([np.log(s0 / (1 - s0))]), np.array([np.log(s1 / (1 - s1))]), z, z,
                 np.array([np.log(s1 / (1 - s1))]), np.array([np.log(s0 / (1 - s0))]))
@@ -599,18 +576,8 @@ def _class_param_fit(design, w1, w0, mode, x1, x0, lam, a, b):
     return h0, h1, W0, W1, nx1, nx0
 
 
-def _penalty_terms(h0, h1, W0, W1, shared, lam, a, b):
-    p0 = _field_prior(h0, a, b)[0]
-    p1 = _field_prior(h1, a, b)[0]
-    if shared:
-        ridge = lam * np.sum(W1 ** 2)
-    else:
-        ridge = lam * (np.sum(W0 ** 2) + np.sum(W1 ** 2))
-    return p0 + p1 - ridge
-
-
 def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig = EMConfig(),
-                 k_max_exact: int = K_MAX_EXACT) -> IsingEMFit:
+                 k_max_exact: int = K_MAX_EXACT) -> EMFit:
     """Generalized EM for Ising vote models.
 
     E-step scores each class with exact evidence when K <= k_max_exact and
@@ -624,97 +591,77 @@ def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig 
     model's implied marginal weights, falling back to class balance. Every
     step runs over the distinct vote rows.
     """
-    if v.n < 2:
-        raise ValueError("em_fit_ising requires at least 2 items")
     if mode not in ("class_dependent", "class_independent"):
         raise ValueError(f"unknown mode {mode!r}")
-    patterns, counts, inverse = vote_patterns(v.votes)
-    k = v.k
-    if k > k_max_exact:
+    if v.k > k_max_exact:
         warnings.warn(
-            f"exact evidence unavailable for K={k} (cutoff {k_max_exact}); "
+            f"exact evidence unavailable for K={v.k} (cutoff {k_max_exact}); "
             "E-step falls back to pseudo-likelihood class scores"
         )
-        score = _pll_scores
-    else:
-        score = partial(_exact_class_scores, k_max_exact=k_max_exact)
-    lam, a, b = LAMBDA_REG, config.prior_a, config.prior_b
-
+    family = partial(_IsingModel, mode=mode, config=config, k_max_exact=k_max_exact)
     # With a single judge no couplings exist and the model coincides with the
     # CI fitter; run the matched single-init procedure so outputs agree.
-    strategies = ("majority",) if k == 1 else INIT_STRATEGIES
-    best = None
-    for stream, strategy in enumerate(strategies):
-        if strategy == "ci":
-            gamma0 = np.clip(em_fit_ci(v, config).posterior.gamma, 1e-3, 1 - 1e-3)
+    strategies = ("majority",) if v.k == 1 else INIT_STRATEGIES
+    return em.run(v, family, config, strategies, ci_fit=em_fit_ci)
+
+
+class _IsingModel:
+    """One restart of the Ising family for :func:`em.run`, from zero fields and couplings."""
+
+    def __init__(self, patterns, counts, trace, mode, config, k_max_exact):
+        k = patterns.shape[1]
+        self.patterns, self.counts, self.trace = patterns, counts, trace
+        self.design = _PLLDesign(patterns)
+        self.mode, self.shared, self.k_max_exact = mode, mode == "class_independent", k_max_exact
+        self.lam, self.a, self.b = LAMBDA_REG, config.prior_a, config.prior_b
+        npar = k + k * (k - 1) // 2
+        self.x1 = np.zeros(npar)
+        self.x0 = np.zeros(npar)
+        self.h0 = self.h1 = np.zeros(k)
+        self.W0 = self.W1 = np.zeros((k, k))
+        self.s1 = self.s0 = None
+
+    def _score(self, h, W) -> np.ndarray:
+        """Per-pattern class log-scores: exact evidence up to the cutoff, pseudo-likelihood beyond."""
+        if self.design.k > self.k_max_exact:
+            return _pll_scores(self.patterns, h, W)
+        return _energies(self.patterns, h, W) - log_partition(h, W, self.k_max_exact)
+
+    def _penalty(self, h0, h1, W0, W1) -> float:
+        p0 = _field_prior(h0, self.a, self.b)[0]
+        p1 = _field_prior(h1, self.a, self.b)[0]
+        if self.shared:
+            ridge = self.lam * np.sum(W1 ** 2)
         else:
-            gamma0 = init_gamma(v.votes, config.seed, strategy, stream=0 if strategy == "majority" else stream)
-        w1 = np.bincount(inverse, weights=gamma0)
-        run = _em_run(patterns, counts, w1, mode, score, config, lam, a, b, strategy)
-        if best is None or run[0] > best[0] + RESTART_MARGIN * abs(best[0]):
-            best = run
-    _, gamma, params, trace = best
+            ridge = self.lam * (np.sum(W0 ** 2) + np.sum(W1 ** 2))
+        return p0 + p1 - ridge
 
-    wsum = _orientation_weight_sum(params, k_max_exact)
-    if resolve_flip(wsum, params.pi):
-        params = params.flipped()
-        gamma = 1.0 - gamma
-        trace.flipped = True
-    return IsingEMFit(params=params, posterior=PosteriorVector(gamma[inverse]), trace=trace)
-
-
-def _orientation_weight_sum(params: IsingParams, k_max_exact: int) -> float:
-    if params.k <= k_max_exact:
-        ci = ci_from_marginals(params, k_max_exact)
-        return float(judge_weights(ci.alpha, ci.beta).sum())
-    # Beyond the cutoff the field shift is the linear-rule weight vector.
-    return float((params.h1 - params.h0).sum())
-
-
-def _em_run(patterns, counts, w1, mode, score, config, lam, a, b, strategy):
-    """One restart over distinct vote rows; returns the per-pattern posterior."""
-    k = patterns.shape[1]
-    design = _PLLDesign(patterns)
-    shared = mode == "class_independent"
-    npar = k + k * (k - 1) // 2
-    x1 = np.zeros(npar)
-    x0 = np.zeros(npar)
-    h0 = h1 = np.zeros(k)
-    W0 = W1 = np.zeros((k, k))
-    trace = EMTrace(init_used=strategy)
-    prev_obj = -np.inf
-    s1 = s0 = None
-    for _ in range(config.max_iters):
-        w0 = counts - w1
-        pi = class_prior(w1, w0)
-        cand = _class_param_fit(design, w1, w0, mode, x1, x0, lam, a, b)
-        ch0, ch1, cW0, cW1, cx1, cx0 = cand
-        cs1 = score(patterns, ch1, cW1)
-        cs0 = score(patterns, ch0, cW0)
-        q_cand = float(w1 @ cs1 + w0 @ cs0) + _penalty_terms(ch0, ch1, cW0, cW1, shared, lam, a, b)
-        if s1 is None:
-            q_cur = -np.inf
-        else:
-            q_cur = float(w1 @ s1 + w0 @ s0) + _penalty_terms(h0, h1, W0, W1, shared, lam, a, b)
-        if q_cand >= q_cur - 1e-9:
-            h0, h1, W0, W1, x1, x0 = ch0, ch1, cW0, cW1, cx1, cx0
-            s1, s0 = cs1, cs0
+    def step(self, w1, w0, pi):
+        cand = _class_param_fit(self.design, w1, w0, self.mode, self.x1, self.x0, self.lam, self.a, self.b)
+        ch0, ch1, cW0, cW1 = cand[:4]
+        cs1 = self._score(ch1, cW1)
+        cs0 = self._score(ch0, cW0)
+        q_cand = float(w1 @ cs1 + w0 @ cs0) + self._penalty(ch0, ch1, cW0, cW1)
+        accept = self.s1 is None  # the first M-step has nothing to fall back to
+        if not accept:
+            q_cur = float(w1 @ self.s1 + w0 @ self.s0) + self._penalty(self.h0, self.h1, self.W0, self.W1)
+            accept = q_cand >= q_cur - 1e-9
+        if accept:
+            self.h0, self.h1, self.W0, self.W1, self.x1, self.x0 = cand
+            self.s1, self.s0 = cs1, cs0
         else:
             # Safeguard: the pseudo-likelihood step degraded the expected
             # complete-data objective under the active scores; keep the old
             # parameters (generalized EM allows a null M-step).
-            trace.notes.append(f"iter {trace.n_iters}: M-step rejected by safeguard")
-        log_prior = np.log(pi / (1.0 - pi))
-        gamma = expit(log_prior + s1 - s0)
-        w1 = counts * gamma
-        ll = float(counts @ logsumexp(np.stack([np.log(pi) + s1, np.log1p(-pi) + s0]), axis=0))
-        obj = ll + _penalty_terms(h0, h1, W0, W1, shared, lam, a, b)
-        trace.loglik.append(ll)
-        trace.objective.append(obj)
-        trace.n_iters += 1
-        if relative_change(obj, prev_obj) < config.tol:
-            trace.converged = True
-            break
-        prev_obj = obj
-    params = IsingParams(pi=pi, h0=h0, h1=h1, W0=W0, W1=W1, shared_couplings=shared)
-    return trace.objective[-1], gamma, params, trace
+            self.trace.notes.append(f"iter {self.trace.n_iters}: M-step rejected by safeguard")
+        gamma, ll = mixture_estep(self.counts, pi, self.s1, self.s0)
+        return gamma, ll, ll + self._penalty(self.h0, self.h1, self.W0, self.W1)
+
+    def params(self, pi) -> IsingParams:
+        return IsingParams(pi=pi, h0=self.h0, h1=self.h1, W0=self.W0, W1=self.W1, shared_couplings=self.shared)
+
+    def orientation(self, params: IsingParams) -> float:
+        if params.k <= self.k_max_exact:
+            return float(ci_from_marginals(params, self.k_max_exact).weights().sum())
+        # Beyond the cutoff the field shift is the linear-rule weight vector.
+        return float((params.h1 - params.h0).sum())

@@ -8,14 +8,14 @@ suite asserts them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
 from . import presets
 from .ci import ci_log_odds, em_fit_ci, sample_ci, umv_predict
-from .curie_weiss import CWExperimentSpec, positive_root, run_separation, true_marginals
+from .curie_weiss import positive_root, run_separation, true_marginals
 from .data import accuracy, rng_from
 from .em import EMConfig
 from .factor import run_factor_separation
@@ -161,7 +161,7 @@ def _risk_table_rows(rows):
 
 def run_cw_symmetric(seed: int | None = None):
     """Zero-field Curie-Weiss separation: CI pins to the prior risk."""
-    spec = presets.CW_SYMMETRIC if seed is None else _with_seed(presets.CW_SYMMETRIC, seed)
+    spec = presets.CW_SYMMETRIC if seed is None else replace(presets.CW_SYMMETRIC, seed=seed)
     rows = run_separation(spec)
     checks: list[Check | BoundCheck] = []
     ref, tol = presets.CW_SYMMETRIC_CI_RISK
@@ -180,7 +180,7 @@ def run_cw_symmetric(seed: int | None = None):
 
 def run_cw_informative(seed: int | None = None):
     """Informative-marginals Curie-Weiss separation experiment."""
-    spec = presets.CW_INFORMATIVE if seed is None else _with_seed(presets.CW_INFORMATIVE, seed)
+    spec = presets.CW_INFORMATIVE if seed is None else replace(presets.CW_INFORMATIVE, seed=seed)
     rows = run_separation(spec)
     checks: list[Check | BoundCheck] = []
     k_max = spec.k_grid[-1]
@@ -197,13 +197,6 @@ def run_cw_informative(seed: int | None = None):
     checks.append(BoundCheck(f"|M| rule risk at K={k_max}", last["risk_bayes"],
                              presets.CW_INFORMATIVE_BAYES_RISK_AT_KMAX))
     return checks, {"risk_table": _risk_table_rows(rows)}
-
-
-def _with_seed(spec: CWExperimentSpec, seed: int) -> CWExperimentSpec:
-    return CWExperimentSpec(pi=spec.pi, class0=spec.class0, class1=spec.class1,
-                            k_grid=spec.k_grid, n=spec.n, statistic=spec.statistic,
-                            threshold_mode=spec.threshold_mode, threshold=spec.threshold,
-                            seed=seed)
 
 
 def run_factor_experiment(seed: int = 0):

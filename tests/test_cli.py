@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -40,6 +41,17 @@ class TestSimulate:
                            ("factor", ("--num-judges", "5", "--lam", "0.2"))]:
             path = simulate(runner, tmp_path, name=f"{gen}.csv", generator=gen, n=30, extra=extra)
             assert path.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (("--pi", "1.5"), "pi must lie strictly inside (0,1)"),
+        (("--beta0", "-1"), "beta must be positive"),
+        (("-n", "0"), "K values and n must be >= 1"),
+    ])
+    def test_cw_rejects_invalid_inputs(self, runner, tmp_path, args, message):
+        res = runner.invoke(main, ["simulate", "--generator", "cw", "--out", str(tmp_path / "cw.csv"), *args])
+        assert res.exit_code == 2
+        assert f"error: {message}" in res.output
+        assert not (tmp_path / "cw.csv").exists()
 
 
 class TestFit:
@@ -81,6 +93,23 @@ class TestFit:
                                        "--out", str(out), "--max-iters", "2"])
         assert res.exit_code == 0, res.output
 
+    @pytest.mark.parametrize("k", [1, 6])
+    @pytest.mark.parametrize("model", ["ci", "ising-shared", "ising-classdep", "factor"])
+    def test_flat_prior_with_constant_judge_fits(self, runner, tmp_path, model, k):
+        # Under Beta(1, 1) the MAP rate of a judge that always votes 1 is
+        # exactly 1; the fit must still end finite.
+        votes = (np.random.default_rng(k).random((150, k)) < 0.5).astype(int)
+        votes[:, 0] = 1
+        path = tmp_path / "constant.csv"
+        path.write_text(",".join(["item", *(f"j{j + 1}" for j in range(k))]) + "\n"
+                        + "".join(f"{i}," + ",".join(map(str, row)) + "\n" for i, row in enumerate(votes)))
+        out = tmp_path / model
+        res = runner.invoke(main, ["fit", "--votes", str(path), "--model", model, "--out", str(out),
+                                   "--prior-a", "1", "--prior-b", "1"])
+        assert res.exit_code == 0, res.output
+        gamma = read_gamma(out / "posteriors.csv")
+        assert len(gamma) == 150 and np.all(np.isfinite(gamma))
+
     @pytest.mark.parametrize("model", ["ci", "ising-shared", "ising-classdep", "factor"])
     def test_unanimous_votes_fit_exits_0(self, runner, tmp_path, model):
         n, k = 2000, 20
@@ -95,19 +124,41 @@ class TestFit:
         assert len(gamma) == n and all(0.0 <= g <= 1.0 for g in gamma)
 
 
+def read_gamma(path) -> np.ndarray:
+    lines = path.read_text().splitlines()
+    assert lines[0] == "item,gamma,label"
+    return np.array([float(line.split(",")[1]) for line in lines[1:]])
+
+
+ISING_KEYS = {"mode", "pi", "h0", "h1", "W0", "W1"}
+
+
 class TestPredict:
-    def test_round_trip(self, runner, tmp_path):
-        votes = simulate(runner, tmp_path, generator="shared-demo", n=120)
+    # model -> (generator of its own CSV, extra simulate args, key set of its model.json)
+    CASES = {
+        "ci": ("ci-setup-1", (), {"model", "pi", "alpha", "beta"}),
+        "ising-shared": ("shared-demo", (), ISING_KEYS),
+        "ising-classdep": ("classdep-demo", (), ISING_KEYS),
+        "factor": ("factor", ("--num-judges", "5", "--lam", "0.8"), {"model", "pi", "a", "b", "loadings"}),
+        "umv": ("ci-setup-1", (), {"model"}),
+    }
+
+    @pytest.mark.parametrize("model", list(CASES))
+    def test_round_trip(self, runner, tmp_path, model):
+        generator, extra, keys = self.CASES[model]
+        votes = simulate(runner, tmp_path, generator=generator, n=120, extra=extra)
         out = tmp_path / "fit"
-        res = runner.invoke(main, ["fit", "--votes", str(votes), "--model", "ising-shared",
+        res = runner.invoke(main, ["fit", "--votes", str(votes), "--model", model,
                                    "--out", str(out), "--seed", "2"])
         assert res.exit_code == 0, res.output
+        assert set(json.loads((out / "model.json").read_text())) == keys
         pred = tmp_path / "pred.csv"
         res = runner.invoke(main, ["predict", "--votes", str(votes),
                                    "--model-file", str(out / "model.json"), "--out", str(pred)])
         assert res.exit_code == 0, res.output
-        lines = pred.read_text().splitlines()
-        assert lines[0] == "item,gamma,label" and len(lines) == 121
+        gamma = read_gamma(pred)
+        assert len(gamma) == 120
+        np.testing.assert_allclose(gamma, read_gamma(out / "posteriors.csv"), rtol=0, atol=1e-12)
 
 
 class TestEvaluate:

@@ -26,7 +26,7 @@ from judgeagg import (
     wmv_predict,
 )
 from judgeagg import ising, presets
-from judgeagg.curie_weiss import sample_cw
+from judgeagg.curie_weiss import CWClassSpec, CWExperimentSpec, sample_labeled_cw
 from judgeagg.data import rng_from
 from judgeagg.ising import all_configs, class_conditional_table, posterior_predict, sample_labeled
 from judgeagg.reproduce import aligned_accuracy
@@ -415,12 +415,8 @@ class TestSampler:
 
 
 def cw_vote_matrix(k, n, pi, seed):
-    rng = rng_from(seed, 99)
-    y = (rng.random(n) < pi).astype(np.int8)
-    spins = np.zeros((n, k), dtype=np.int8)
-    n1 = int(y.sum())
-    spins[y == 1] = sample_cw(k, 2.0, 0.0, n1, seed * 4 + 1)
-    spins[y == 0] = sample_cw(k, 0.5, 0.0, n - n1, seed * 4 + 2)
+    spec = CWExperimentSpec(pi=pi, class0=CWClassSpec(beta=0.5), class1=CWClassSpec(beta=2.0), k_grid=(k,), n=n)
+    y, spins = sample_labeled_cw(spec, k, rng_from(seed, 99), (seed * 4 + 1, seed * 4 + 2))
     return VoteMatrix(votes=(spins + 1) // 2, item_ids=tuple(map(str, range(n))),
                       judge_names=tuple(f"j{i}" for i in range(k)), gold_labels=y)
 

@@ -1,10 +1,13 @@
 """The package's public names: a fixed list, each loaded on first use."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import judgeagg
@@ -62,3 +65,45 @@ def test_bare_import_loads_no_submodule():
 
 def test_cli_reproduce_names_match_the_targets():
     assert REPRODUCE_NAMES == tuple(sorted(REPRODUCE_TARGETS))
+
+
+def _load_tracing():
+    path = Path(judgeagg.__file__).resolve().parents[2] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's traced run times these names by wrapping them; a name
+    # that no longer resolves turns its metrics into nulls.
+    for target in _load_tracing().WRAPPED:
+        module, attr = target.split(":")
+        assert callable(getattr(importlib.import_module(module), attr)), target
+
+
+def test_fits_call_em_fit_ci_through_their_own_module(monkeypatch, tmp_path):
+    # The "ci" restarts of the Ising and factor fits, and `fit --model ci`,
+    # look em_fit_ci up in their own module at call time, where the traced
+    # run's wrappers sit.
+    from click.testing import CliRunner
+
+    from judgeagg import cli, factor, ising
+
+    calls = []
+    for module in (ising, factor, cli):
+        def counted(v, config, _inner=module.em_fit_ci, _name=module.__name__):
+            calls.append(_name)
+            return _inner(v, config)
+        monkeypatch.setattr(module, "em_fit_ci", counted)
+    v = judgeagg.sample_ci(judgeagg.CIParams(pi=0.5, alpha=np.full(3, 0.8), beta=np.full(3, 0.7)), 60, 1)
+    ising.em_fit_ising(v, "class_dependent", judgeagg.EMConfig(max_iters=2))
+    factor.em_fit_factor(v, 1, judgeagg.EMConfig(max_iters=2))
+    assert calls == ["judgeagg.ising", "judgeagg.factor"]
+    path = tmp_path / "votes.csv"
+    judgeagg.save_votes(v, str(path))
+    res = CliRunner().invoke(cli.main, ["fit", "--votes", str(path), "--model", "ci", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert calls[2:] == ["judgeagg.cli"]
