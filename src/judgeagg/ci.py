@@ -97,11 +97,6 @@ def sample_ci(p: CIParams, n: int, seed: int, judge_names=None) -> VoteMatrix:
     return VoteMatrix(votes=votes, item_ids=ids, judge_names=names, gold_labels=y)
 
 
-def observed_loglik(p: CIParams, votes: np.ndarray) -> float:
-    """Observed-data log-likelihood sum_i log(pi P(J_i|1) + (1-pi) P(J_i|0))."""
-    return float(_row_log_evidence(p, votes).sum())
-
-
 def _row_log_evidence(p: CIParams, votes: np.ndarray) -> np.ndarray:
     l0, l1 = _class_log_liks(p, votes)
     return logsumexp(np.stack([np.log(p.pi) + l1, np.log1p(-p.pi) + l0]), axis=0)

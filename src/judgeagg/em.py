@@ -185,10 +185,11 @@ def run(v: VoteMatrix, family, config: EMConfig, strategies=INIT_STRATEGIES, ci_
                 break
             prev = obj
         if best is None or obj > best[0] + RESTART_MARGIN * abs(best[0]):
-            best = obj, gamma, pi, model, trace
-    _, gamma, pi, model, trace = best
-    params = model.params(pi)
-    if resolve_flip(model.orientation(params), params.pi):
+            params = model.params(pi)
+            best = obj, gamma, params, model.orientation(params), trace
+        del model  # no restart's arrays outlive it
+    _, gamma, params, orientation, trace = best
+    if resolve_flip(orientation, params.pi):
         params = params.flipped()
         gamma = 1.0 - gamma
         trace.flipped = True

@@ -26,6 +26,11 @@ _ZQ = np.sqrt(2.0) * _H_NODES
 _LOG_WQ = np.log(_H_WEIGHTS) - 0.5 * np.log(np.pi)
 
 
+def _quad_mean(eta, lam, z=_ZQ):
+    """E[sigma(eta + lam Z)] over the quadrature nodes z, per entry of eta and lam."""
+    return np.exp(_LOG_WQ) @ expit(eta + np.multiply.outer(z, lam))
+
+
 @dataclass(frozen=True)
 class FactorParams:
     """Scalar exchangeable model: vote rate sigma(b + a(2y-1) + lam(2y-1) Z)."""
@@ -103,31 +108,29 @@ def sample_factor(p: FactorParams, k: int, n: int, seed: int, judge_names=None) 
 
 def marginal_success(p: FactorParams, y: int) -> float:
     """q_y = E_Z[sigma(b + a(2y-1) + lam(2y-1) Z)] by Gauss-Hermite quadrature."""
-    z = np.sqrt(p.sigma2_z) * _ZQ
-    vals = expit(p.b + p.a * (2 * y - 1) + p.lam * (2 * y - 1) * z)
-    return float(np.exp(_LOG_WQ) @ vals)
+    return float(_quad_mean(p.b + p.a * (2 * y - 1), p.lam * (2 * y - 1), np.sqrt(p.sigma2_z) * _ZQ))
 
 
-def bayes_limit_score(p: FactorParams, s: float) -> float:
-    """Large-ensemble Bayes score logit(pi) + (2a / (lam^2 sigma2)) (logit(s) - b)."""
+def bayes_limit_score(p: FactorParams, s):
+    """Large-ensemble Bayes score logit(pi) + (2a / (lam^2 sigma2)) (logit(s) - b), elementwise in s."""
     if p.lam == 0.0:
         raise ValueError("factor degenerate (lam = 0); Bayes limit undefined by this formula")
-    if not (0.0 < s < 1.0):
+    if not np.all((0.0 < s) & (s < 1.0)):
         raise ValueError("s must lie strictly inside (0,1)")
     slope = 2.0 * p.a / (p.lam ** 2 * p.sigma2_z)
-    return float(np.log(p.pi / (1.0 - p.pi)) + slope * (np.log(s / (1.0 - s)) - p.b))
+    return np.log(p.pi / (1.0 - p.pi)) + slope * (np.log(s / (1.0 - s)) - p.b)
 
 
-def ci_limit_score(q0: float, q1: float, s: float) -> float:
-    """Per-judge CI score s log(q1/q0) + (1-s) log((1-q1)/(1-q0)).
+def ci_limit_score(q0: float, q1: float, s):
+    """Per-judge CI score s log(q1/q0) + (1-s) log((1-q1)/(1-q0)), elementwise over s.
 
     Equals KL(s || q0) - KL(s || q1); positive when the vote fraction s is
     better explained by the class-1 marginal.
     """
     for name, val in (("q0", q0), ("q1", q1), ("s", s)):
-        if not (0.0 < val < 1.0):
+        if not np.all((0.0 < val) & (val < 1.0)):
             raise ValueError(f"{name} must lie strictly inside (0,1)")
-    return float(s * np.log(q1 / q0) + (1.0 - s) * np.log((1.0 - q1) / (1.0 - q0)))
+    return s * np.log(q1 / q0) + (1.0 - s) * np.log((1.0 - q1) / (1.0 - q0))
 
 
 def clamp_fraction(s, k: int):
@@ -152,11 +155,8 @@ def run_factor_separation(p: FactorParams, k_grid, n: int, seed: int) -> list[di
     for i, k in enumerate(k_grid):
         v = sample_factor(p, int(k), n, seed + 1000 * i)
         s = clamp_fraction(v.votes.mean(axis=1), int(k))
-        slope = 2.0 * p.a / (p.lam ** 2 * p.sigma2_z)
-        bayes_scores = np.log(p.pi / (1.0 - p.pi)) + slope * (np.log(s / (1 - s)) - p.b)
-        ci_scores = np.log(p.pi / (1.0 - p.pi)) + k * (
-            s * np.log(q1 / q0) + (1.0 - s) * np.log((1.0 - q1) / (1.0 - q0))
-        )
+        bayes_scores = bayes_limit_score(p, s)
+        ci_scores = np.log(p.pi / (1.0 - p.pi)) + k * ci_limit_score(q0, q1, s)
         rows.append(separation_row(k, (bayes_scores >= 0).astype(int), (ci_scores >= 0).astype(int),
                                    v.gold_labels))
     return rows
@@ -187,21 +187,23 @@ def factor_log_lik(p: MultiFactorParams, votes: np.ndarray, y: int) -> np.ndarra
         raise ValueError("quadrature evidence implemented for rank-1 loadings only")
     votes = np.asarray(votes, dtype=float)
     lam = p.loadings[:, 0]
-    return _quad_scores(votes, p.eta(y), lam)
+    return _node_scores(votes, p.eta(y), lam)[0]
 
 
-def _quad_scores(votes: np.ndarray, eta0: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """log sum_q wq prod_j Bern(J_j; sigma(eta0_j + lam_j z_q)) per item.
+def _node_scores(votes: np.ndarray, eta0: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log sum_q wq prod_j Bern(J_j; sigma(eta0_j + lam_j z_q)) per row, and each node's log share of it.
 
-    Decomposes votes @ eta.T over the node grid: the per-node logits are
-    eta0_j + lam_j z_q, so the item-dependent part needs only two matvecs.
+    The per-node logits are eta0_j + lam_j z_q, so the row-dependent part
+    needs only two matvecs.
     """
     base = votes @ eta0           # (n,)
     load = votes @ lam            # (n,)
     eta = eta0[None, :] + np.outer(_ZQ, lam)        # (Q, K)
     norm = np.logaddexp(0.0, eta).sum(axis=1)       # (Q,)
-    scores = base[:, None] + np.outer(load, _ZQ) - norm[None, :]
-    return logsumexp(scores + _LOG_WQ[None, :], axis=1)
+    scores = base[:, None] + np.outer(load, _ZQ) - norm[None, :] + _LOG_WQ[None, :]
+    evidence = logsumexp(scores, axis=1)
+    scores -= evidence[:, None]
+    return evidence, scores
 
 
 def posterior_predict(p: MultiFactorParams, v: VoteMatrix) -> PosteriorVector:
@@ -216,12 +218,12 @@ def em_fit_factor(v: VoteMatrix, r: int = 1, config: EMConfig = EMConfig()) -> E
 
     The E-step scores both classes with 61-node quadrature evidence (the
     factor scale is fixed to sigma_Z = 1 and absorbed into the loadings).
-    The M-step maximizes the node-responsibility minorizer of the weighted
-    quadrature log-likelihood: per judge, a concave 3-parameter weighted
-    logistic problem solved by safeguarded Newton steps. The surrogate
-    mixture objective is non-decreasing across iterations. Loadings are
-    canonicalized to non-negative total sign. Every step runs over the
-    distinct vote rows.
+    The M-step maximizes the minorizer of the weighted quadrature
+    log-likelihood built on the last E-step's node responsibilities: per
+    judge, a concave 3-parameter weighted logistic problem solved by
+    safeguarded Newton steps. The surrogate mixture objective is
+    non-decreasing across iterations. Loadings are canonicalized to
+    non-negative total sign. Every step runs over the distinct vote rows.
     """
     if r != 1:
         raise ValueError("only rank r=1 fitting is supported")
@@ -239,11 +241,18 @@ class _FactorModel:
         # Small positive loading init: breaks the lam = 0 stationary point while
         # staying below the noise floor, so a null factor is not inflated.
         self.lam = 0.05 * np.ones(k)
+        self._scores()
+
+    def _scores(self):
+        """Class-0 and class-1 evidence per pattern; keeps both node log-responsibilities."""
+        self.log_r = None  # the last step's are spent; free them before building new ones
+        (l0, r0), (l1, r1) = (_node_scores(self.patterns, eta0, self.lam) for eta0 in (self.b, self.a + self.b))
+        self.log_r = r0, r1
+        return l0, l1
 
     def step(self, w1, w0, pi):
-        self.a, self.b, self.lam = _mstep_newton(self.patterns, w1, w0, self.a, self.b, self.lam)
-        l0 = _quad_scores(self.patterns, self.b, self.lam)
-        l1 = _quad_scores(self.patterns, self.a + self.b, self.lam)
+        self.a, self.b, self.lam = _mstep_newton(self.patterns, w1, w0, self.a, self.b, self.lam, self.log_r)
+        l0, l1 = self._scores()
         gamma, ll = mixture_estep(self.counts, pi, l1, l0)
         return gamma, ll, ll
 
@@ -255,46 +264,30 @@ class _FactorModel:
         # Weights of the CI rule on the model's implied per-judge rates.
         lam = params.loadings[:, 0]
         eps = 1e-9
-        wq = np.exp(_LOG_WQ)
-        alpha = wq @ expit(params.eta(1)[None, :] + np.outer(_ZQ, lam))
-        m0 = wq @ expit(params.eta(0)[None, :] + np.outer(_ZQ, lam))
+        alpha = _quad_mean(params.eta(1), lam)
+        m0 = _quad_mean(params.eta(0), lam)
         return float(judge_weights(np.clip(alpha, eps, 1 - eps), np.clip(1.0 - m0, eps, 1 - eps)).sum())
 
 
-def _mstep_newton(votes, w1, w0, a, b, lam, n_steps: int = 12):
+def _mstep_newton(votes, w1, w0, a, b, lam, log_r, n_steps: int = 12):
     """Improve the quadrature log-likelihood, rows weighted by w1 and w0, via its node minorizer.
 
-    Node responsibilities R are computed once at the current parameters; the
-    resulting bound is, for each judge, a weighted logistic log-likelihood in
-    (a_j, b_j, lam_j) with node-level weights shared across judges. Newton
-    steps with halving keep the bound (and hence the objective) from
-    decreasing.
+    ``log_r`` holds the class-0 and class-1 node log-responsibilities at the
+    current parameters (from :func:`_node_scores`); the resulting bound is,
+    for each judge, a weighted logistic log-likelihood in (a_j, b_j, lam_j)
+    with node-level weights shared across judges. Newton steps with halving
+    keep the bound (and hence the objective) from decreasing.
     """
-    k = votes.shape[1]
-    g = np.stack([w0, w1], axis=1)                       # (n, 2)
     theta = np.stack([a, b, lam], axis=1)               # (K, 3)
-    c = np.zeros((2, QUAD_NODES))                        # sum_i g R per node
-    d = np.zeros((2, k, QUAD_NODES))                     # sum_i g R J per node/judge
-    for y in (0, 1):
-        eta0 = a * y + b
-        base = votes @ eta0
-        load = votes @ lam
-        eta = eta0[None, :] + np.outer(_ZQ, lam)         # (Q, K)
-        norm = np.logaddexp(0.0, eta).sum(axis=1)
-        scores = base[:, None] + np.outer(load, _ZQ) - norm[None, :] + _LOG_WQ[None, :]
-        scores -= logsumexp(scores, axis=1)[:, None]
-        R = np.exp(scores)                               # (n, Q)
-        gw = g[:, y][:, None] * R
-        c[y] = gw.sum(axis=0)
-        d[y] = votes.T @ gw                              # (K, Q)
+    gw = [w[:, None] * np.exp(r) for w, r in zip((w0, w1), log_r)]    # (n, Q) per class
 
     x = np.stack([
         np.concatenate([np.zeros(QUAD_NODES), np.ones(QUAD_NODES)]),   # y feature
         np.ones(2 * QUAD_NODES),                                       # intercept
         np.tile(_ZQ, 2),                                               # node value
     ], axis=1)                                                          # (2Q, 3)
-    cw = np.concatenate([c[0], c[1]])                                   # (2Q,)
-    dw = np.concatenate([d[0], d[1]], axis=1)                           # (K, 2Q)
+    cw = np.concatenate([g.sum(axis=0) for g in gw])                    # sum_i g R per node, (2Q,)
+    dw = np.concatenate([votes.T @ g for g in gw], axis=1)              # sum_i g R J per judge, (K, 2Q)
 
     def bound(th):
         eta = th @ x.T                                                  # (K, 2Q)

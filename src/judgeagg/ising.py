@@ -209,16 +209,11 @@ def bayes_log_odds(p: IsingParams, j, k_max_exact: int = K_MAX_EXACT) -> float:
     With shared couplings the quadratic part vanishes identically and the
     rule is the linear weighted vote logit(pi) + c.J + dZ with c = h1 - h0.
     """
-    j = np.asarray(j, dtype=float)
-    ev = exact_evidence(p, k_max_exact)
-    dh = p.h1 - p.h0
-    dW = p.W1 - p.W0
-    quad = 0.0 if p.shared_couplings else 0.5 * j @ dW @ j
-    dz = ev.log_z0 - ev.log_z1
-    return float(np.log(p.pi / (1.0 - p.pi)) + dh @ j + quad + dz)
+    return float(bayes_log_odds_matrix(p, np.asarray(j, dtype=float)[None, :], k_max_exact)[0])
 
 
 def bayes_log_odds_matrix(p: IsingParams, votes: np.ndarray, k_max_exact: int = K_MAX_EXACT) -> np.ndarray:
+    """:func:`bayes_log_odds` of every row of ``votes``."""
     votes = np.asarray(votes, dtype=float)
     ev = exact_evidence(p, k_max_exact)
     dh = p.h1 - p.h0
@@ -297,13 +292,7 @@ def pseudo_log_likelihood(h, W, v: VoteMatrix | np.ndarray, weights, lam: float 
     For each item and node j the conditional is Bernoulli with logit
     eta_ij = h_j + sum_{k != j} W_jk J_ik; no partition function appears.
     """
-    votes = v.votes.astype(float) if isinstance(v, VoteMatrix) else np.asarray(v, dtype=float)
-    h = np.asarray(h, dtype=float)
-    W = _check_coupling(W, "W")
-    weights = np.asarray(weights, dtype=float)
-    eta = h[None, :] + votes @ W
-    ll = np.sum(weights[:, None] * (votes * eta - np.logaddexp(0.0, eta)))
-    return float(ll - lam * np.sum(W ** 2))
+    return float(-_flat_prior_pll(h, W, v, weights, lam)[0])
 
 
 def pseudo_log_likelihood_grad(h, W, v: VoteMatrix | np.ndarray, weights, lam: float = LAMBDA_REG):
@@ -312,17 +301,15 @@ def pseudo_log_likelihood_grad(h, W, v: VoteMatrix | np.ndarray, weights, lam: f
     Returned coupling gradient is symmetric with zero diagonal; entry (j,k)
     is the derivative with respect to the tied parameter W_jk = W_kj.
     """
+    return _unpack(-_flat_prior_pll(h, W, v, weights, lam)[1], len(h))
+
+
+def _flat_prior_pll(h, W, v, weights, lam):
+    """The M-step kernel :func:`_neg_pll_newton` at (h, W), under a flat Beta(1, 1) field prior."""
     votes = v.votes.astype(float) if isinstance(v, VoteMatrix) else np.asarray(v, dtype=float)
-    h = np.asarray(h, dtype=float)
     W = _check_coupling(W, "W")
-    weights = np.asarray(weights, dtype=float)
-    eta = h[None, :] + votes @ W
-    resid = weights[:, None] * (votes - expit(eta))
-    gh = resid.sum(axis=0)
-    gw = votes.T @ resid
-    gw = gw + gw.T - 4.0 * lam * W
-    np.fill_diagonal(gw, 0.0)
-    return gh, gw
+    x = np.concatenate([np.asarray(h, dtype=float), W[_triu(len(W))]])
+    return _neg_pll_newton(x, _PLLDesign(votes), np.asarray(weights, dtype=float), lam, 1.0, 1.0)
 
 
 def _pll_scores(votes: np.ndarray, h: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -350,9 +337,16 @@ def _unpack(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _field_prior(h: np.ndarray, a: float, b: float) -> tuple[float, np.ndarray, np.ndarray]:
     # Beta(a,b) on each sigma(h_j): keeps fields finite under degenerate
     # weights and makes the K=1 model collapse exactly onto the CI fitter.
+    # A term whose exponent is 0 is left out: once sigma(h_j) rounds to 0 or
+    # 1 (|h_j| past about 37) it would be 0 * log(0), which is NaN.
     # Returns the value, its gradient and its negated second derivative.
     s = expit(h)
-    val = float(np.sum((a - 1.0) * np.log(s) + (b - 1.0) * np.log1p(-s)))
+    terms = 0.0
+    if a != 1.0:
+        terms = (a - 1.0) * np.log(s)
+    if b != 1.0:
+        terms = terms + (b - 1.0) * np.log1p(-s)
+    val = float(np.sum(terms))
     grad = (a - 1.0) * (1.0 - s) - (b - 1.0) * s
     return val, grad, (a + b - 2.0) * s * (1.0 - s)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from judgeagg import VoteMatrix, em_fit_ci, em_fit_factor, em_fit_ising, save_votes
+from judgeagg import CIParams, EMConfig, VoteMatrix, em_fit_ci, em_fit_factor, em_fit_ising, save_votes
+from judgeagg import em
 from judgeagg.cli import main
 from judgeagg.em import PI_EPS, class_prior, vote_patterns
 
@@ -123,3 +124,41 @@ def test_constant_judge_columns_give_finite_fit(family, tmp_path):
     save_votes(v, str(path))
     res = CliRunner().invoke(main, ["fit", "--votes", str(path), "--model", family, "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
+
+
+
+def test_engine_keeps_no_restart_model_alive():
+    # The engine keeps the winning restart's parameters and orientation, not
+    # its model, so each restart's arrays are freed before the next is built.
+    class CountingFamily:
+        """A fake family that counts its live instances; each new restart wins."""
+
+        built = alive = peak = 0
+
+        def __init__(self, patterns, counts, trace):
+            cls = type(self)
+            cls.built += 1
+            cls.alive += 1
+            cls.peak = max(cls.peak, cls.alive)
+            self.patterns, self.objective = patterns, float(cls.built)
+
+        def __del__(self):
+            type(self).alive -= 1
+
+        def step(self, w1, w0, pi):
+            return np.clip(self.patterns.mean(axis=1), 0.1, 0.9), self.objective, self.objective
+
+        def params(self, pi):
+            k = self.patterns.shape[1]
+            return CIParams(pi=pi, alpha=np.full(k, 0.8), beta=np.full(k, 0.7))
+
+        def orientation(self, params):
+            return float(params.weights().sum())
+
+    v = _constant_column_votes()
+    fit = em.run(v, CountingFamily, EMConfig(), ci_fit=em_fit_ci)
+    assert CountingFamily.built == len(em.INIT_STRATEGIES)
+    assert CountingFamily.peak == 1
+    assert CountingFamily.alive == 0
+    assert fit.trace.init_used == em.INIT_STRATEGIES[-1]
+    assert fit.posterior.gamma.shape == (v.n,)

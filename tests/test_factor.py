@@ -17,7 +17,7 @@ from judgeagg import (
     run_factor_separation,
     sample_factor,
 )
-from judgeagg.factor import factor_log_lik
+from judgeagg.factor import _quad_mean, factor_log_lik
 from judgeagg.reproduce import aligned_accuracy
 
 
@@ -72,6 +72,19 @@ class TestMarginalSuccess:
         p = FactorParams(pi=0.5, a=0.7, b=-0.2, lam=0.0, sigma2_z=2.0)
         assert marginal_success(p, 1) == pytest.approx(expit(-0.2 + 0.7), abs=1e-12)
         assert marginal_success(p, 0) == pytest.approx(expit(-0.2 - 0.7), abs=1e-12)
+
+    @pytest.mark.parametrize("a, b, lam, sigma2", [(0.7, -0.2, 0.9, 1.0), (0.5, 1.0, 0.1, 2.5), (-0.4, 0.3, 1.7, 0.6)])
+    def test_factor_family_rates_match_marginal_success(self, a, b, lam, sigma2):
+        # K identical judges with a_j = 2a, b_j = b - a and lam_j = lam sqrt(sigma2)
+        # are the scalar model; the implied rates the factor family's
+        # orientation reads are then the scalar model's marginals.
+        p = FactorParams(pi=0.5, a=a, b=b, lam=lam, sigma2_z=sigma2)
+        k = 4
+        mp = MultiFactorParams(a=np.full(k, 2 * a), b=np.full(k, b - a),
+                               loadings=np.full((k, 1), lam * np.sqrt(sigma2)))
+        for y in (0, 1):
+            rates = _quad_mean(mp.eta(y), mp.loadings[:, 0])
+            np.testing.assert_allclose(rates, marginal_success(p, y), rtol=0, atol=1e-15)
 
     def test_odd_symmetry(self):
         p = FactorParams(pi=0.5, a=0.0, b=0.0, lam=0.8, sigma2_z=1.3)
@@ -132,6 +145,23 @@ class TestLimitScores:
             ci_limit_score(0.0, 0.5, 0.5)
         with pytest.raises(ValueError):
             ci_limit_score(0.3, 0.7, 1.0)
+
+    def test_array_calls_match_scalar_calls(self):
+        p = FactorParams(pi=0.3, a=0.5, b=1.0, lam=0.2, sigma2_z=1.5)
+        s = np.linspace(0.01, 0.99, 37)
+        np.testing.assert_array_equal(bayes_limit_score(p, s), [bayes_limit_score(p, x) for x in s])
+        np.testing.assert_array_equal(ci_limit_score(0.35, 0.7, s), [ci_limit_score(0.35, 0.7, x) for x in s])
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, np.nan])
+    def test_array_with_any_entry_outside_unit_interval_rejected(self, bad):
+        p = FactorParams(pi=0.3, a=0.5, b=1.0, lam=0.2, sigma2_z=1.0)
+        s = np.array([0.2, 0.5, bad, 0.8])
+        with pytest.raises(ValueError, match="s must lie"):
+            bayes_limit_score(p, s)
+        with pytest.raises(ValueError, match="s must lie"):
+            ci_limit_score(0.3, 0.7, s)
+        with pytest.raises(ValueError, match="q1 must lie"):
+            ci_limit_score(0.3, np.array([0.7, bad]), 0.5)
 
 
 class TestRunFactorSeparation:

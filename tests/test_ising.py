@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,40 @@ class TestPseudoLikelihood:
                 fd = (pseudo_log_likelihood(h, wp, votes, weights)
                       - pseudo_log_likelihood(h, wm, votes, weights)) / (2 * step)
                 assert abs(gw[a_, b_] - fd) <= 1e-6 * (1 + abs(fd))
+
+
+class TestFlatFieldPrior:
+    """Beta(1, 1) on the fields: no term of it may turn a saturated field into NaN."""
+
+    def test_saturated_fields_give_finite_public_pll(self):
+        rng = np.random.default_rng(31)
+        votes = rng.integers(0, 2, (50, 3)).astype(float)
+        weights = rng.random(50)
+        h = np.array([40.0, -800.0, 0.3])
+        w = np.array([[0.0, 0.2, -0.1], [0.2, 0.0, 0.4], [-0.1, 0.4, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = pseudo_log_likelihood(h, w, votes, weights)
+            gh, gw = pseudo_log_likelihood_grad(h, w, votes, weights)
+        assert np.isfinite(value)
+        assert np.all(np.isfinite(gh)) and np.all(np.isfinite(gw))
+
+    @pytest.mark.parametrize("mode", ["class_independent", "class_dependent"])
+    def test_constant_judge_fits_without_warnings(self, mode):
+        # Judge 1 always votes 1, so the Newton line search tries fields past
+        # where sigma(h) rounds to 1; a Beta term with exponent 0 would
+        # evaluate 0 * log1p(-1) there.
+        rng = np.random.default_rng(32)
+        y = rng.random(300) < 0.6
+        votes = np.where(rng.random((300, 6)) < 0.8, y[:, None], ~y[:, None]).astype(np.int8)
+        votes[:, 0] = 1
+        v = VoteMatrix(votes=votes, item_ids=tuple(map(str, range(300))),
+                       judge_names=tuple(f"j{j + 1}" for j in range(6)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = em_fit_ising(v, mode, EMConfig(prior_a=1.0, prior_b=1.0))
+        assert np.all(np.isfinite(fit.params.h0)) and np.all(np.isfinite(fit.params.h1))
+        assert np.all(np.isfinite(fit.posterior.gamma))
 
 
 def random_pll_problem(rng, k, n=40):
