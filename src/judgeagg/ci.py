@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from . import em
 from .data import PosteriorVector, VoteMatrix, rng_from
@@ -53,6 +52,12 @@ class CIParams:
         # Relabeling Y -> 1-Y swaps the error roles: alpha' = 1-beta, beta' = 1-alpha.
         return CIParams(pi=1.0 - self.pi, alpha=1.0 - self.beta, beta=1.0 - self.alpha)
 
+    def log_scores(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log Pr(J | Y=1) and log Pr(J | Y=0) of every vote row: independent Bernoulli judges."""
+        l1 = rows @ np.log(self.alpha) + (1.0 - rows) @ np.log1p(-self.alpha)
+        l0 = rows @ np.log1p(-self.beta) + (1.0 - rows) @ np.log(self.beta)
+        return l1, l0
+
 
 def ci_log_odds(p: CIParams, j) -> float:
     """Posterior log-odds of Y=1 for one K-vector of votes.
@@ -60,25 +65,13 @@ def ci_log_odds(p: CIParams, j) -> float:
     logit(pi) + sum_j [J_j log(alpha_j/(1-beta_j)) + (1-J_j) log((1-alpha_j)/beta_j)],
     an affine function of the votes with slopes given by ``p.weights()``.
     """
-    j = np.asarray(j, dtype=float)
-    return float(_log_odds_matrix(p, j[None, :])[0])
-
-
-def _log_odds_matrix(p: CIParams, votes: np.ndarray) -> np.ndarray:
-    w1 = np.log(p.alpha) - np.log1p(-p.beta)
-    w0 = np.log1p(-p.alpha) - np.log(p.beta)
-    return np.log(p.pi / (1.0 - p.pi)) + votes @ w1 + (1.0 - votes) @ w0
-
-
-def _class_log_liks(p: CIParams, votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    l1 = votes @ np.log(p.alpha) + (1.0 - votes) @ np.log1p(-p.alpha)
-    l0 = votes @ np.log1p(-p.beta) + (1.0 - votes) @ np.log(p.beta)
-    return l0, l1
+    s1, s0 = p.log_scores(np.asarray(j, dtype=float)[None, :])
+    return float(np.log(p.pi / (1.0 - p.pi)) + s1[0] - s0[0])
 
 
 def wmv_predict(p: CIParams, v: VoteMatrix) -> PosteriorVector:
-    """Weighted majority vote: per-item sigmoid of the CI posterior log-odds."""
-    return PosteriorVector(expit(_log_odds_matrix(p, v.votes.astype(float))))
+    """Weighted majority vote: per-item sigmoid of the CI posterior log-odds (:func:`em.predict`)."""
+    return em.predict(p, v)
 
 
 def umv_predict(v: VoteMatrix) -> PosteriorVector:
@@ -95,11 +88,6 @@ def sample_ci(p: CIParams, n: int, seed: int, judge_names=None) -> VoteMatrix:
     names = judge_names if judge_names is not None else tuple(f"j{i+1}" for i in range(p.k))
     ids = tuple(str(i) for i in range(n))
     return VoteMatrix(votes=votes, item_ids=ids, judge_names=names, gold_labels=y)
-
-
-def _row_log_evidence(p: CIParams, votes: np.ndarray) -> np.ndarray:
-    l0, l1 = _class_log_liks(p, votes)
-    return logsumexp(np.stack([np.log(p.pi) + l1, np.log1p(-p.pi) + l0]), axis=0)
 
 
 def _beta_log_prior(p: CIParams, a: float, b: float) -> float:
@@ -124,8 +112,8 @@ def em_fit_ci(v: VoteMatrix, config: EMConfig = EMConfig()) -> EMFit:
 class _CIModel:
     """One restart of the CI family for :func:`em.run`, with Beta(a, b) priors on the rates."""
 
-    def __init__(self, patterns: np.ndarray, counts: np.ndarray, trace: EMTrace, a: float, b: float):
-        self.patterns, self.counts, self.a, self.b = patterns, counts, a, b
+    def __init__(self, patterns: np.ndarray, trace: EMTrace, a: float, b: float):
+        self.patterns, self.a, self.b = patterns, a, b
         if patterns.shape[1] >= 2 and np.all(patterns == patterns[:, :1]):
             msg = "all judge columns identical: low-information input, estimates rely on priors"
             warnings.warn(msg)
@@ -133,8 +121,7 @@ class _CIModel:
 
     def step(self, w1: np.ndarray, w0: np.ndarray, pi: float):
         self.current = p = _map_mstep(self.patterns, w1, w0, pi, self.a, self.b)
-        ll = float(self.counts @ _row_log_evidence(p, self.patterns))
-        return expit(_log_odds_matrix(p, self.patterns)), ll, ll + _beta_log_prior(p, self.a, self.b)
+        return *p.log_scores(self.patterns), _beta_log_prior(p, self.a, self.b)
 
     def params(self, pi: float) -> CIParams:
         return self.current

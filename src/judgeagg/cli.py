@@ -15,7 +15,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .ci import CIParams, em_fit_ci, sample_ci, umv_predict, wmv_predict
+from . import em
+from .ci import CIParams, em_fit_ci, sample_ci, umv_predict
 from .data import (SplitSpec, VoteDataError, VoteMatrix, accuracy, load_votes, rng_from, save_votes, split,
                    write_csv_rows)
 from .em import EMConfig, EMFit, EMTrace
@@ -52,22 +53,22 @@ def _write_posteriors(path: Path, v: VoteMatrix, gamma: np.ndarray) -> None:
 
 
 def _ci_model():
-    return (em_fit_ci, wmv_predict,
+    return (em_fit_ci,
             lambda p: {"model": "ci", "pi": p.pi, "alpha": p.alpha.tolist(), "beta": p.beta.tolist()},
             lambda d: CIParams(pi=d["pi"], alpha=np.array(d["alpha"]), beta=np.array(d["beta"])))
 
 
 def _ising_model(mode: str):
-    from .ising import IsingParams, em_fit_ising, posterior_predict
+    from .ising import IsingParams, em_fit_ising
 
-    return (lambda v, config: em_fit_ising(v, mode, config), posterior_predict,
+    return (lambda v, config: em_fit_ising(v, mode, config),
             lambda p: json.loads(p.to_json()), lambda d: IsingParams.from_json(json.dumps(d)))
 
 
 def _factor_model():
-    from .factor import MultiFactorParams, em_fit_factor, posterior_predict
+    from .factor import MultiFactorParams, em_fit_factor
 
-    return (lambda v, config: em_fit_factor(v, 1, config), posterior_predict,
+    return (lambda v, config: em_fit_factor(v, 1, config),
             lambda p: {"model": "factor", "pi": p.pi, "a": p.a.tolist(), "b": p.b.tolist(),
                        "loadings": p.loadings.tolist()},
             lambda d: MultiFactorParams(a=np.array(d["a"]), b=np.array(d["b"]),
@@ -77,11 +78,16 @@ def _factor_model():
 def _umv_model():
     # No parameters: the "fit" is the vote fraction, with an empty trace.
     return (lambda v, config: EMFit(params=None, posterior=umv_predict(v), trace=EMTrace()),
-            lambda params, v: umv_predict(v), lambda p: {"model": "umv"}, lambda d: None)
+            lambda p: {"model": "umv"}, lambda d: None)
 
 
-# Model name -> loader of its (fit, predict, to_payload, from_payload); a
-# command calls it, importing the model's module and reading the names then.
+def _predict(params, v: VoteMatrix):
+    """Posteriors under fitted parameters; the parameter-free UMV "model" is the vote fraction."""
+    return umv_predict(v) if params is None else em.predict(params, v)
+
+
+# Model name -> loader of its (fit, to_payload, from_payload); a command
+# calls it, importing the model's module and reading the names then.
 _MODELS = {
     "ci": _ci_model,
     "ising-shared": lambda: _ising_model("class_independent"),
@@ -134,7 +140,7 @@ def fit(votes_path, model, out, seed, tol, max_iters, prior_a, prior_b):
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
         config = _em_config(seed, tol, max_iters, prior_a, prior_b)
-        fit_model, _, to_payload, _ = _MODELS[model]()
+        fit_model, to_payload, _ = _MODELS[model]()
         fitres = fit_model(v, config)
         payload = to_payload(fitres.params)
         trace_lines = [
@@ -164,8 +170,8 @@ def predict(votes_path, model_file, out):
     try:
         v = load_votes(votes_path)
         payload = json.loads(Path(model_file).read_text())
-        _, predict_fixed, _, from_payload = _MODELS[_saved_model_name(payload)]()
-        post = predict_fixed(from_payload(payload), v)
+        _, _, from_payload = _MODELS[_saved_model_name(payload)]()
+        post = _predict(from_payload(payload), v)
         _write_posteriors(Path(out), v, post.gamma)
         click.echo(f"wrote {out}")
     except (VoteDataError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -176,7 +182,7 @@ def predict(votes_path, model_file, out):
 @click.option("--votes", "votes_path", required=True, type=click.Path())
 @click.option("--models", default="ci,umv", show_default=True,
               help="Comma-separated subset of: " + ",".join(MODELS))
-@click.option("--trials", type=int, default=20, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--train-fraction", type=float, default=0.15, show_default=True)
 @click.option("--num-judges", type=int, default=None,
               help="Judge subsample size per trial (without replacement); default all.")
@@ -190,6 +196,8 @@ def evaluate(votes_path, models, trials, train_fraction, num_judges, out,
         if v.gold_labels is None:
             raise VoteDataError("evaluate requires a gold label column")
         model_list = [m.strip() for m in models.split(",") if m.strip()]
+        if not model_list:
+            raise VoteDataError("--models names no model")
         for m in model_list:
             if m not in MODELS:
                 raise VoteDataError(f"unknown model {m!r}")
@@ -205,8 +213,8 @@ def evaluate(votes_path, models, trials, train_fraction, num_judges, out,
             train, test = split(sub, SplitSpec(train_fraction=train_fraction, seed=trial_seed))
             config = _em_config(trial_seed, tol, max_iters, prior_a, prior_b)
             for m in model_list:
-                fit_model, predict_fixed, _, _ = _MODELS[m]()
-                post = predict_fixed(fit_model(train, config).params, test)
+                fit_model, _, _ = _MODELS[m]()
+                post = _predict(fit_model(train, config).params, test)
                 results[m].append(accuracy(post.hard_labels, test.gold_labels))
         report = {"seed": seed, "n": v.n, "K": v.k, "trials": trials,
                   "train_fraction": train_fraction,

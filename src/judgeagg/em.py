@@ -8,17 +8,18 @@ global label-flip ambiguity at the end.
 Every step touches the data only through weighted sums over vote rows, so
 the loops run over the distinct rows (:func:`vote_patterns`): a pattern
 carries its item count and its summed class-1 responsibility ``w1``, with
-``w0 = counts - w1`` for class 0. Per-item posteriors are read back through
-the row -> pattern index once, when a fit returns.
+``w0 = counts - w1`` for class 0. Every posterior, in a fit and in
+:func:`predict`, is logit(pi) + s1 - s0 from the parameters'
+``log_scores(rows) -> (s1, s0)``, the class log-likelihoods of each row.
 
-:func:`run` is that loop, written once. A model family plugs in as a class
-built once per restart as ``family(patterns, counts, trace)``, with three
-methods:
+:func:`run` is the loop, written once, and the only caller of
+:func:`mixture_estep`. A model family plugs in as a class built once per
+restart as ``family(patterns, trace)``, with three methods:
 
-- ``step(w1, w0, pi) -> (gamma, loglik, objective)``: one M-step from the
-  class weights, then one E-step at the new parameters, per pattern;
+- ``step(w1, w0, pi) -> (s1, s0, penalty)``: one M-step from the class
+  weights, then the new parameters' pattern log-scores and log prior;
 - ``params(pi)``: the current parameters, with class prior ``pi``; they
-  provide ``pi`` and ``flipped()``;
+  provide ``pi``, ``k``, ``flipped()`` and ``log_scores``;
 - ``orientation(params)``: the weight sum :func:`resolve_flip` reads.
 """
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .data import PosteriorVector, VoteMatrix, rng_from, vote_patterns
+from .data import PosteriorVector, VoteDataError, VoteMatrix, rng_from, vote_patterns
 
 # Initialization strategies tried by the Ising/factor fitters, in order of
 # preference when objectives tie: warm start from the CI solution, then
@@ -40,6 +41,9 @@ INIT_STRATEGIES = ("ci", "majority", "agreement")
 # Relative objective margin a later restart must win by to displace an
 # earlier (more-preferred) one.
 RESTART_MARGIN = 1e-4
+
+# |judge weight sum| below which :func:`resolve_flip` falls back to class balance.
+ANCHOR_TOL = 0.1
 
 # The class prior is kept this far inside (0,1): unanimous votes drive every
 # responsibility to exactly 0 or 1, where logit(pi) is undefined.
@@ -124,15 +128,15 @@ def judge_weights(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.log(alpha) + np.log(beta) - np.log1p(-alpha) - np.log1p(-beta)
 
 
-def resolve_flip(weight_sum: float, pi: float, anchor_tol: float = 0.1) -> bool:
+def resolve_flip(weight_sum: float, pi: float) -> bool:
     """Decide whether to flip the fitted labeling.
 
     Primary anchor: orient so fitted judges are on average better than random
     (sum of weighted-vote weights >= 0). When the marginals carry essentially
-    no orientation signal (|sum| < anchor_tol), fall back to class balance and
+    no orientation signal (|sum| < ANCHOR_TOL), fall back to class balance and
     call the larger class "1". Returns True if the labeling should flip.
     """
-    if abs(weight_sum) >= anchor_tol:
+    if abs(weight_sum) >= ANCHOR_TOL:
         return weight_sum < 0
     return pi < 0.5
 
@@ -141,11 +145,31 @@ def relative_change(new: float, old: float) -> float:
     return abs(new - old) / (1.0 + abs(new))
 
 
+def _posterior(pi: float, s1: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    return expit(np.log(pi / (1.0 - pi)) + s1 - s0)
+
+
 def mixture_estep(counts: np.ndarray, pi: float, s1: np.ndarray, s0: np.ndarray) -> tuple[np.ndarray, float]:
     """Posteriors and observed log-likelihood from per-pattern class log-scores s1, s0."""
-    gamma = expit(np.log(pi / (1.0 - pi)) + s1 - s0)
     ll = float(counts @ logsumexp(np.stack([np.log(pi) + s1, np.log1p(-pi) + s0]), axis=0))
-    return gamma, ll
+    return _posterior(pi, s1, s0), ll
+
+
+def predict(params, v: VoteMatrix) -> PosteriorVector:
+    """Per-item posterior Pr(Y=1 | votes) under fixed parameters of any model family.
+
+    The distinct rows of ``v`` are scored as a fit scores its returned
+    posterior, so ``predict(fit.params, v)`` equals ``fit.posterior`` bit for
+    bit. A judge count other than the model's is a :class:`VoteDataError`.
+    """
+    if v.k != params.k:
+        raise VoteDataError(f"the model was fitted on {params.k} judges but the votes have {v.k}")
+    patterns, _, inverse = vote_patterns(v.votes)
+    return _predict_rows(params, patterns, inverse)
+
+
+def _predict_rows(params, patterns: np.ndarray, inverse: np.ndarray) -> PosteriorVector:
+    return PosteriorVector(_posterior(params.pi, *params.log_scores(patterns))[inverse])
 
 
 def run(v: VoteMatrix, family, config: EMConfig, strategies=INIT_STRATEGIES, ci_fit=None) -> EMFit:
@@ -157,7 +181,8 @@ def run(v: VoteMatrix, family, config: EMConfig, strategies=INIT_STRATEGIES, ci_
     objective's relative change falls below ``config.tol`` or
     ``config.max_iters`` steps. A later restart replaces the best so far only
     if it wins by :data:`RESTART_MARGIN`; the winner's labeling is then
-    oriented by :func:`resolve_flip`.
+    oriented by :func:`resolve_flip`, and the posterior is :func:`predict`'s
+    at those final parameters.
     """
     if v.n < 2:
         raise ValueError("an EM fit requires at least 2 items")
@@ -170,12 +195,14 @@ def run(v: VoteMatrix, family, config: EMConfig, strategies=INIT_STRATEGIES, ci_
             gamma0 = init_gamma(v.votes, config.seed, strategy, stream=0 if strategy == "majority" else stream)
         w1 = np.bincount(inverse, weights=gamma0)
         trace = EMTrace(init_used=strategy)
-        model = family(patterns, counts, trace)
+        model = family(patterns, trace)
         prev = -np.inf
         for _ in range(config.max_iters):
             w0 = counts - w1
             pi = class_prior(w1, w0)
-            gamma, ll, obj = model.step(w1, w0, pi)
+            s1, s0, penalty = model.step(w1, w0, pi)
+            gamma, ll = mixture_estep(counts, pi, s1, s0)
+            obj = ll + penalty
             w1 = counts * gamma
             trace.loglik.append(ll)
             trace.objective.append(obj)
@@ -186,11 +213,10 @@ def run(v: VoteMatrix, family, config: EMConfig, strategies=INIT_STRATEGIES, ci_
             prev = obj
         if best is None or obj > best[0] + RESTART_MARGIN * abs(best[0]):
             params = model.params(pi)
-            best = obj, gamma, params, model.orientation(params), trace
+            best = obj, params, model.orientation(params), trace
         del model  # no restart's arrays outlive it
-    _, gamma, params, orientation, trace = best
+    _, params, orientation, trace = best
     if resolve_flip(orientation, params.pi):
         params = params.flipped()
-        gamma = 1.0 - gamma
         trace.flipped = True
-    return EMFit(params=params, posterior=PosteriorVector(gamma[inverse]), trace=trace)
+    return EMFit(params=params, posterior=_predict_rows(params, patterns, inverse), trace=trace)

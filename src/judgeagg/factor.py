@@ -15,10 +15,11 @@ from scipy.special import expit, logsumexp
 
 from . import em
 from .ci import em_fit_ci
-from .data import PosteriorVector, VoteMatrix, rng_from, separation_row
-from .em import EMConfig, EMFit, judge_weights, mixture_estep
+from .data import VoteMatrix, rng_from, separation_row
+from .em import EMConfig, EMFit, judge_weights
 
 QUAD_NODES = 61
+_MSTEP_NEWTON_STEPS = 12  # Newton steps on the node minorizer per M-step
 
 _H_NODES, _H_WEIGHTS = np.polynomial.hermite.hermgauss(QUAD_NODES)
 # E_{Z~N(0,1)} f(Z) = sum_q wq f(zq) with the substitution below.
@@ -92,6 +93,10 @@ class MultiFactorParams:
         # Relabeling y -> 1-y: eta_j(1-y) = (a_j + b_j) - a_j y; the loading
         # sign is immaterial because Z is symmetric.
         return MultiFactorParams(a=-self.a, b=self.a + self.b, loadings=self.loadings, pi=1.0 - self.pi)
+
+    def log_scores(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log Pr(J | Y=1) and log Pr(J | Y=0) of every vote row (:func:`factor_log_lik`)."""
+        return factor_log_lik(self, rows, 1), factor_log_lik(self, rows, 0)
 
 
 def sample_factor(p: FactorParams, k: int, n: int, seed: int, judge_names=None) -> VoteMatrix:
@@ -206,13 +211,6 @@ def _node_scores(votes: np.ndarray, eta0: np.ndarray, lam: np.ndarray) -> tuple[
     return evidence, scores
 
 
-def posterior_predict(p: MultiFactorParams, v: VoteMatrix) -> PosteriorVector:
-    votes = v.votes.astype(float)
-    l0 = factor_log_lik(p, votes, 0)
-    l1 = factor_log_lik(p, votes, 1)
-    return PosteriorVector(expit(np.log(p.pi / (1.0 - p.pi)) + l1 - l0))
-
-
 def em_fit_factor(v: VoteMatrix, r: int = 1, config: EMConfig = EMConfig()) -> EMFit:
     """Quadrature EM for the rank-1 per-judge factor model.
 
@@ -233,9 +231,9 @@ def em_fit_factor(v: VoteMatrix, r: int = 1, config: EMConfig = EMConfig()) -> E
 class _FactorModel:
     """One restart of the rank-1 factor family for :func:`em.run`."""
 
-    def __init__(self, patterns, counts, trace):
+    def __init__(self, patterns, trace):
         k = patterns.shape[1]
-        self.patterns, self.counts = patterns, counts
+        self.patterns = patterns
         self.a = np.zeros(k)
         self.b = np.zeros(k)
         # Small positive loading init: breaks the lam = 0 stationary point while
@@ -244,17 +242,15 @@ class _FactorModel:
         self._scores()
 
     def _scores(self):
-        """Class-0 and class-1 evidence per pattern; keeps both node log-responsibilities."""
+        """Class-1 and class-0 evidence per pattern; keeps both node log-responsibilities."""
         self.log_r = None  # the last step's are spent; free them before building new ones
         (l0, r0), (l1, r1) = (_node_scores(self.patterns, eta0, self.lam) for eta0 in (self.b, self.a + self.b))
         self.log_r = r0, r1
-        return l0, l1
+        return l1, l0
 
     def step(self, w1, w0, pi):
         self.a, self.b, self.lam = _mstep_newton(self.patterns, w1, w0, self.a, self.b, self.lam, self.log_r)
-        l0, l1 = self._scores()
-        gamma, ll = mixture_estep(self.counts, pi, l1, l0)
-        return gamma, ll, ll
+        return *self._scores(), 0.0
 
     def params(self, pi) -> MultiFactorParams:
         lam = -self.lam if self.lam.sum() < 0 else self.lam
@@ -269,7 +265,7 @@ class _FactorModel:
         return float(judge_weights(np.clip(alpha, eps, 1 - eps), np.clip(1.0 - m0, eps, 1 - eps)).sum())
 
 
-def _mstep_newton(votes, w1, w0, a, b, lam, log_r, n_steps: int = 12):
+def _mstep_newton(votes, w1, w0, a, b, lam, log_r):
     """Improve the quadrature log-likelihood, rows weighted by w1 and w0, via its node minorizer.
 
     ``log_r`` holds the class-0 and class-1 node log-responsibilities at the
@@ -294,7 +290,7 @@ def _mstep_newton(votes, w1, w0, a, b, lam, log_r, n_steps: int = 12):
         return np.sum(dw * eta, axis=1) - np.logaddexp(0.0, eta) @ cw
 
     cur = bound(theta)
-    for _ in range(n_steps):
+    for _ in range(_MSTEP_NEWTON_STEPS):
         eta = theta @ x.T
         sig = expit(eta)
         grad = (dw - cw[None, :] * sig) @ x                             # (K, 3)

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from . import em
 from .ci import CIParams, em_fit_ci
-from .data import PosteriorVector, VoteMatrix, rng_from
-from .em import INIT_STRATEGIES, PI_EPS, EMConfig, EMFit, mixture_estep
+from .data import VoteMatrix, rng_from
+from .em import INIT_STRATEGIES, PI_EPS, EMConfig, EMFit
 
 K_MAX_EXACT = 15
 
@@ -27,11 +27,9 @@ K_MAX_EXACT = 15
 class ExactEvidenceUnavailable(ValueError):
     """Raised when 2^K enumeration is out of reach for the requested K."""
 
-    def __init__(self, k: int, k_max: int):
-        super().__init__(
-            f"exact evidence unavailable for K={k} (cutoff {k_max}); "
-            "score classes with the pseudo-likelihood instead"
-        )
+    def __init__(self, k: int):
+        super().__init__(f"exact evidence unavailable for K={k} (cutoff {K_MAX_EXACT}); "
+                         "score classes with the pseudo-likelihood instead")
 
 
 class PseudoFitError(RuntimeError):
@@ -96,6 +94,10 @@ class IsingParams:
             shared_couplings=self.shared_couplings,
         )
 
+    def log_scores(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Class-1 and class-0 log-scores of every vote row (see :func:`_class_scores`)."""
+        return _class_scores(rows, self.h1, self.W1), _class_scores(rows, self.h0, self.W0)
+
     def to_json(self) -> str:
         mode = "class_independent" if self.shared_couplings else "class_dependent"
         payload = {
@@ -123,21 +125,20 @@ class IsingParams:
 
 @dataclass(frozen=True)
 class ExactEvidence:
-    """Log partition functions for both classes, valid up to the enumeration cutoff."""
+    """Log partition functions for both classes, valid up to :data:`K_MAX_EXACT`."""
 
     log_z0: float
     log_z1: float
-    k_max_exact: int = K_MAX_EXACT
 
 
-def all_configs(k: int, k_max_exact: int = K_MAX_EXACT) -> np.ndarray:
+def all_configs(k: int) -> np.ndarray:
     """All 2^K binary vote vectors as a read-only (2^K, K) float matrix.
 
     Built once per K and shared by every caller. Raises
-    :class:`ExactEvidenceUnavailable` beyond the caller's cutoff.
+    :class:`ExactEvidenceUnavailable` beyond :data:`K_MAX_EXACT`.
     """
-    if k > k_max_exact:
-        raise ExactEvidenceUnavailable(k, k_max_exact)
+    if k > K_MAX_EXACT:
+        raise ExactEvidenceUnavailable(k)
     return _configs(k)
 
 
@@ -160,7 +161,7 @@ def _energies(configs: np.ndarray, h: np.ndarray, W: np.ndarray) -> np.ndarray:
     return configs @ h + 0.5 * ((configs @ W) * configs).sum(axis=1)
 
 
-def log_partition(h, W, k_max_exact: int = K_MAX_EXACT) -> float:
+def log_partition(h, W) -> float:
     """log sum over all 2^K configurations of exp(energy), by enumeration.
 
     The judges are split into halves a and b. A configuration is a pair
@@ -171,8 +172,8 @@ def log_partition(h, W, k_max_exact: int = K_MAX_EXACT) -> float:
     h = np.asarray(h, dtype=float)
     W = _check_coupling(W, "W")
     k = len(h)
-    if k > k_max_exact:
-        raise ExactEvidenceUnavailable(k, k_max_exact)
+    if k > K_MAX_EXACT:
+        raise ExactEvidenceUnavailable(k)
     m = k // 2
     ca, cb = _configs(m), _configs(k - m)
     ea = _energies(ca, h[:m], W[:m, :m])
@@ -182,40 +183,35 @@ def log_partition(h, W, k_max_exact: int = K_MAX_EXACT) -> float:
     return float(top + np.log(np.exp(e - top).sum()))
 
 
-def exact_evidence(p: IsingParams, k_max_exact: int = K_MAX_EXACT) -> ExactEvidence:
-    return ExactEvidence(
-        log_z0=log_partition(p.h0, p.W0, k_max_exact),
-        log_z1=log_partition(p.h1, p.W1, k_max_exact),
-        k_max_exact=k_max_exact,
-    )
+def exact_evidence(p: IsingParams) -> ExactEvidence:
+    return ExactEvidence(log_z0=log_partition(p.h0, p.W0), log_z1=log_partition(p.h1, p.W1))
 
 
-def class_conditional_prob(p: IsingParams, j, y: int, k_max_exact: int = K_MAX_EXACT) -> float:
+def class_conditional_prob(p: IsingParams, j, y: int) -> float:
     """Exact Pr(J = j | Y = y) via enumeration; sums to 1 over all 2^K vectors."""
     h, W = (p.h1, p.W1) if y == 1 else (p.h0, p.W0)
-    return float(np.exp(energy(j, h, W) - log_partition(h, W, k_max_exact)))
+    return float(np.exp(energy(j, h, W) - log_partition(h, W)))
 
 
-def class_conditional_table(p: IsingParams, y: int, k_max_exact: int = K_MAX_EXACT) -> np.ndarray:
+def class_conditional_table(p: IsingParams, y: int) -> np.ndarray:
     """Probability of every configuration (row order of :func:`all_configs`)."""
     h, W = (p.h1, p.W1) if y == 1 else (p.h0, p.W0)
-    e = _energies(all_configs(p.k, k_max_exact), h, W)
-    return np.exp(e - logsumexp(e))
+    return np.exp(_energies(all_configs(p.k), h, W) - log_partition(h, W))
 
 
-def bayes_log_odds(p: IsingParams, j, k_max_exact: int = K_MAX_EXACT) -> float:
+def bayes_log_odds(p: IsingParams, j) -> float:
     """Posterior log-odds: logit(pi) + dh.J + sum_{j<k} dW_jk J_j J_k + dZ.
 
     With shared couplings the quadratic part vanishes identically and the
     rule is the linear weighted vote logit(pi) + c.J + dZ with c = h1 - h0.
     """
-    return float(bayes_log_odds_matrix(p, np.asarray(j, dtype=float)[None, :], k_max_exact)[0])
+    return float(bayes_log_odds_matrix(p, np.asarray(j, dtype=float)[None, :])[0])
 
 
-def bayes_log_odds_matrix(p: IsingParams, votes: np.ndarray, k_max_exact: int = K_MAX_EXACT) -> np.ndarray:
+def bayes_log_odds_matrix(p: IsingParams, votes: np.ndarray) -> np.ndarray:
     """:func:`bayes_log_odds` of every row of ``votes``."""
     votes = np.asarray(votes, dtype=float)
-    ev = exact_evidence(p, k_max_exact)
+    ev = exact_evidence(p)
     dh = p.h1 - p.h0
     dW = p.W1 - p.W0
     quad = 0.0 if p.shared_couplings else 0.5 * np.einsum("ij,jk,ik->i", votes, dW, votes)
@@ -223,31 +219,26 @@ def bayes_log_odds_matrix(p: IsingParams, votes: np.ndarray, k_max_exact: int = 
     return np.log(p.pi / (1.0 - p.pi)) + votes @ dh + quad + dz
 
 
-def posterior_predict(p: IsingParams, v: VoteMatrix, k_max_exact: int = K_MAX_EXACT) -> PosteriorVector:
-    """Posterior for each item under fixed parameters.
+def _class_scores(rows: np.ndarray, h: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """log Pr(J | class) per row: energy - log Z up to :data:`K_MAX_EXACT`, else the pseudo-log-likelihood.
 
-    Uses exact evidence up to the cutoff, pseudo-likelihood class scores
-    beyond it (both classes scored with the same surrogate, so intercepts
-    stay comparable).
+    Both classes are scored with the same surrogate, so intercepts stay comparable.
     """
-    votes = v.votes.astype(float)
-    if p.k <= k_max_exact:
-        return PosteriorVector(expit(bayes_log_odds_matrix(p, votes, k_max_exact)))
-    s0 = _pll_scores(votes, p.h0, p.W0)
-    s1 = _pll_scores(votes, p.h1, p.W1)
-    return PosteriorVector(expit(np.log(p.pi / (1.0 - p.pi)) + s1 - s0))
+    if len(h) > K_MAX_EXACT:
+        return _pll_scores(rows, h, W)
+    return _energies(rows, h, W) - log_partition(h, W)
 
 
-def ci_from_marginals(p: IsingParams, k_max_exact: int = K_MAX_EXACT) -> CIParams:
+def ci_from_marginals(p: IsingParams) -> CIParams:
     """Best CI summary of the joint model: exact per-judge marginals.
 
     alpha_k = Pr(J_k=1 | Y=1), beta_k = 1 - Pr(J_k=1 | Y=0), computed by
     enumeration. Feeding these into the CI log-odds gives the predictor that
     matches the true one-dimensional marginals while ignoring couplings.
     """
-    configs = all_configs(p.k, k_max_exact)
-    m1 = class_conditional_table(p, 1, k_max_exact) @ configs
-    m0 = class_conditional_table(p, 0, k_max_exact) @ configs
+    configs = all_configs(p.k)
+    m1 = class_conditional_table(p, 1) @ configs
+    m0 = class_conditional_table(p, 0) @ configs
     eps = 1e-12
     return CIParams(
         pi=p.pi,
@@ -256,13 +247,13 @@ def ci_from_marginals(p: IsingParams, k_max_exact: int = K_MAX_EXACT) -> CIParam
     )
 
 
-def sample_ising(h, W, n: int, seed: int, k_max_exact: int = K_MAX_EXACT) -> np.ndarray:
+def sample_ising(h, W, n: int, seed: int) -> np.ndarray:
     """n exact draws from one class-conditional model via the 2^K categorical."""
     # One class model, stored as both classes so class_conditional_table normalizes it.
     p = IsingParams(pi=0.5, h0=h, h1=h, W0=W, W1=W)
-    probs = class_conditional_table(p, 1, k_max_exact)
+    probs = class_conditional_table(p, 1)
     idx = rng_from(seed, 23).choice(len(probs), size=n, p=probs)
-    return all_configs(p.k, k_max_exact)[idx].astype(np.int8)
+    return all_configs(p.k)[idx].astype(np.int8)
 
 
 def sample_labeled(p: IsingParams, n: int, seed: int, judge_names=None) -> VoteMatrix:
@@ -570,11 +561,10 @@ def _class_param_fit(design, w1, w0, mode, x1, x0, lam, a, b):
     return h0, h1, W0, W1, nx1, nx0
 
 
-def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig = EMConfig(),
-                 k_max_exact: int = K_MAX_EXACT) -> EMFit:
+def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig = EMConfig()) -> EMFit:
     """Generalized EM for Ising vote models.
 
-    E-step scores each class with exact evidence when K <= k_max_exact and
+    E-step scores each class with exact evidence when K <= K_MAX_EXACT and
     with the pseudo-likelihood otherwise; the M-step maximizes the
     responsibility-weighted penalized pseudo-likelihood (jointly over the
     shared coupling matrix in class-independent mode). An M-step result is
@@ -587,12 +577,10 @@ def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig 
     """
     if mode not in ("class_dependent", "class_independent"):
         raise ValueError(f"unknown mode {mode!r}")
-    if v.k > k_max_exact:
-        warnings.warn(
-            f"exact evidence unavailable for K={v.k} (cutoff {k_max_exact}); "
-            "E-step falls back to pseudo-likelihood class scores"
-        )
-    family = partial(_IsingModel, mode=mode, config=config, k_max_exact=k_max_exact)
+    if v.k > K_MAX_EXACT:
+        warnings.warn(f"exact evidence unavailable for K={v.k} (cutoff {K_MAX_EXACT}); "
+                      "E-step falls back to pseudo-likelihood class scores")
+    family = partial(_IsingModel, mode=mode, config=config)
     # With a single judge no couplings exist and the model coincides with the
     # CI fitter; run the matched single-init procedure so outputs agree.
     strategies = ("majority",) if v.k == 1 else INIT_STRATEGIES
@@ -602,11 +590,11 @@ def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig 
 class _IsingModel:
     """One restart of the Ising family for :func:`em.run`, from zero fields and couplings."""
 
-    def __init__(self, patterns, counts, trace, mode, config, k_max_exact):
+    def __init__(self, patterns, trace, mode, config):
         k = patterns.shape[1]
-        self.patterns, self.counts, self.trace = patterns, counts, trace
+        self.patterns, self.trace = patterns, trace
         self.design = _PLLDesign(patterns)
-        self.mode, self.shared, self.k_max_exact = mode, mode == "class_independent", k_max_exact
+        self.mode, self.shared = mode, mode == "class_independent"
         self.lam, self.a, self.b = LAMBDA_REG, config.prior_a, config.prior_b
         npar = k + k * (k - 1) // 2
         self.x1 = np.zeros(npar)
@@ -614,12 +602,6 @@ class _IsingModel:
         self.h0 = self.h1 = np.zeros(k)
         self.W0 = self.W1 = np.zeros((k, k))
         self.s1 = self.s0 = None
-
-    def _score(self, h, W) -> np.ndarray:
-        """Per-pattern class log-scores: exact evidence up to the cutoff, pseudo-likelihood beyond."""
-        if self.design.k > self.k_max_exact:
-            return _pll_scores(self.patterns, h, W)
-        return _energies(self.patterns, h, W) - log_partition(h, W, self.k_max_exact)
 
     def _penalty(self, h0, h1, W0, W1) -> float:
         p0 = _field_prior(h0, self.a, self.b)[0]
@@ -633,8 +615,8 @@ class _IsingModel:
     def step(self, w1, w0, pi):
         cand = _class_param_fit(self.design, w1, w0, self.mode, self.x1, self.x0, self.lam, self.a, self.b)
         ch0, ch1, cW0, cW1 = cand[:4]
-        cs1 = self._score(ch1, cW1)
-        cs0 = self._score(ch0, cW0)
+        cs1 = _class_scores(self.patterns, ch1, cW1)
+        cs0 = _class_scores(self.patterns, ch0, cW0)
         q_cand = float(w1 @ cs1 + w0 @ cs0) + self._penalty(ch0, ch1, cW0, cW1)
         accept = self.s1 is None  # the first M-step has nothing to fall back to
         if not accept:
@@ -648,14 +630,13 @@ class _IsingModel:
             # complete-data objective under the active scores; keep the old
             # parameters (generalized EM allows a null M-step).
             self.trace.notes.append(f"iter {self.trace.n_iters}: M-step rejected by safeguard")
-        gamma, ll = mixture_estep(self.counts, pi, self.s1, self.s0)
-        return gamma, ll, ll + self._penalty(self.h0, self.h1, self.W0, self.W1)
+        return self.s1, self.s0, self._penalty(self.h0, self.h1, self.W0, self.W1)
 
     def params(self, pi) -> IsingParams:
         return IsingParams(pi=pi, h0=self.h0, h1=self.h1, W0=self.W0, W1=self.W1, shared_couplings=self.shared)
 
     def orientation(self, params: IsingParams) -> float:
-        if params.k <= self.k_max_exact:
-            return float(ci_from_marginals(params, self.k_max_exact).weights().sum())
+        if params.k <= K_MAX_EXACT:
+            return float(ci_from_marginals(params).weights().sum())
         # Beyond the cutoff the field shift is the linear-rule weight vector.
         return float((params.h1 - params.h0).sum())

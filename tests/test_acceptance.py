@@ -40,13 +40,13 @@ from judgeagg import (
     factor_to_ising,
 )
 from judgeagg import presets
+from judgeagg.em import predict
 from judgeagg.factor import factor_log_lik
 from judgeagg.ising import (
     all_configs,
     ci_from_marginals,
     class_conditional_table,
     log_partition,
-    posterior_predict,
     sample_labeled,
 )
 from judgeagg.reproduce import (
@@ -286,9 +286,9 @@ def _hierarchy_accuracies(n_seeds=20):
         vtr = sample_labeled(presets.CLASSDEP_DEMO, 5000, 7000 + seed)
         vte = sample_labeled(presets.CLASSDEP_DEMO, 5000, 7500 + seed)
         fit_cd = em_fit_ising(vtr, "class_dependent", EMConfig(seed=seed))
-        cd.append(aligned_accuracy(posterior_predict(fit_cd.params, vte).gamma, vte.gold_labels))
+        cd.append(aligned_accuracy(predict(fit_cd.params, vte).gamma, vte.gold_labels))
         fit_sh = em_fit_ising(vtr, "class_independent", EMConfig(seed=seed))
-        sh.append(aligned_accuracy(posterior_predict(fit_sh.params, vte).gamma, vte.gold_labels))
+        sh.append(aligned_accuracy(predict(fit_sh.params, vte).gamma, vte.gold_labels))
         fit_ci = em_fit_ci(vtr, EMConfig(seed=seed))
         ci.append(aligned_accuracy(wmv_predict(fit_ci.params, vte).gamma, vte.gold_labels))
     return float(np.mean(cd)), float(np.mean(sh)), float(np.mean(ci))
@@ -368,7 +368,7 @@ def test_criterion_7_dependence_gain_margin():
         vtr = sample_labeled(p, 2000, 7000 + seed)
         vte = sample_labeled(p, 5000, 7500 + seed)
         fit_cd = em_fit_ising(vtr, "class_dependent", EMConfig(seed=seed))
-        cd.append(aligned_accuracy(posterior_predict(fit_cd.params, vte).gamma, vte.gold_labels))
+        cd.append(aligned_accuracy(predict(fit_cd.params, vte).gamma, vte.gold_labels))
         fit_ci = em_fit_ci(vtr, EMConfig(seed=seed))
         ci.append(aligned_accuracy(wmv_predict(fit_ci.params, vte).gamma, vte.gold_labels))
     gain = float(np.mean(cd) - np.mean(ci))

@@ -158,7 +158,21 @@ class TestPredict:
         assert res.exit_code == 0, res.output
         gamma = read_gamma(pred)
         assert len(gamma) == 120
-        np.testing.assert_allclose(gamma, read_gamma(out / "posteriors.csv"), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(gamma, read_gamma(out / "posteriors.csv"))
+
+    @pytest.mark.parametrize("model", ["ci", "ising-shared", "ising-classdep", "factor"])
+    def test_judge_count_mismatch_exits_2(self, runner, tmp_path, model):
+        six = simulate(runner, tmp_path, name="k6.csv", n=60)
+        five = simulate(runner, tmp_path, name="k5.csv", generator="factor", n=20, extra=("--num-judges", "5"))
+        out = tmp_path / "fit"
+        res = runner.invoke(main, ["fit", "--votes", str(six), "--model", model, "--out", str(out),
+                                   "--max-iters", "3"])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["predict", "--votes", str(five), "--model-file", str(out / "model.json"),
+                                   "--out", str(tmp_path / "pred.csv")])
+        assert res.exit_code == 2
+        assert "fitted on 6 judges but the votes have 5" in res.output
+        assert not (tmp_path / "pred.csv").exists()
 
 
 class TestEvaluate:
@@ -207,6 +221,20 @@ class TestEvaluate:
                                    "--max-iters", "5", "--seed", "2"])
         assert res.exit_code == 0, res.output
         assert set(json.loads(res.output)["models"]) == {"ising-shared", "ising-classdep", "factor", "umv"}
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_exits_2(self, runner, tmp_path, trials):
+        votes = simulate(runner, tmp_path, n=40)
+        res = runner.invoke(main, ["evaluate", "--votes", str(votes), "--trials", trials])
+        assert res.exit_code == 2
+        assert "--trials" in res.output
+
+    @pytest.mark.parametrize("models", ["", ", ,"])
+    def test_no_models_exits_2(self, runner, tmp_path, models):
+        votes = simulate(runner, tmp_path, n=40)
+        res = runner.invoke(main, ["evaluate", "--votes", str(votes), "--models", models, "--trials", "1"])
+        assert res.exit_code == 2
+        assert "--models names no model" in res.output
 
 
 class TestReproduce:

@@ -1,6 +1,8 @@
 """Shared EM machinery: the vote-pattern table and degenerate inputs."""
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,9 +78,9 @@ def _constant_votes(fill: int, n: int = 2000, k: int = 20) -> VoteMatrix:
 
 FITTERS = {
     "ci": em_fit_ci,
-    "ising-shared": lambda v: em_fit_ising(v, "class_independent"),
-    "ising-classdep": lambda v: em_fit_ising(v, "class_dependent"),
-    "factor": em_fit_factor,
+    "ising-shared": lambda v, config=EMConfig(): em_fit_ising(v, "class_independent", config),
+    "ising-classdep": lambda v, config=EMConfig(): em_fit_ising(v, "class_dependent", config),
+    "factor": lambda v, config=EMConfig(): em_fit_factor(v, 1, config),
 }
 
 
@@ -135,7 +137,7 @@ def test_engine_keeps_no_restart_model_alive():
 
         built = alive = peak = 0
 
-        def __init__(self, patterns, counts, trace):
+        def __init__(self, patterns, trace):
             cls = type(self)
             cls.built += 1
             cls.alive += 1
@@ -146,7 +148,10 @@ def test_engine_keeps_no_restart_model_alive():
             type(self).alive -= 1
 
         def step(self, w1, w0, pi):
-            return np.clip(self.patterns.mean(axis=1), 0.1, 0.9), self.objective, self.objective
+            # Equal class scores leave a log-likelihood of about 0, so the
+            # penalty sets the objective, and a later restart's is higher.
+            scores = np.zeros(len(self.patterns))
+            return scores, scores, self.objective
 
         def params(self, pi):
             k = self.patterns.shape[1]
@@ -162,3 +167,39 @@ def test_engine_keeps_no_restart_model_alive():
     assert CountingFamily.alive == 0
     assert fit.trace.init_used == em.INIT_STRATEGIES[-1]
     assert fit.posterior.gamma.shape == (v.n,)
+
+
+def _flipping_k16_votes() -> VoteMatrix:
+    """K=16, beyond the exact cutoff: class 1 votes 1 at rates 0.3-0.7, class 0 at 0.02-0.2.
+
+    Both Ising fits of it end with their labeling flipped.
+    """
+    rng = np.random.default_rng(0)
+    n, k = 200, 16
+    y = rng.random(n) < 0.5
+    rates = np.where(y[:, None], rng.uniform(0.3, 0.7, k), rng.uniform(0.02, 0.2, k))
+    votes = (rng.random((n, k)) < rates).astype(np.int8)
+    return VoteMatrix(votes=votes, item_ids=tuple(map(str, range(n))),
+                      judge_names=tuple(f"j{j + 1}" for j in range(k)))
+
+
+def _predict_cases():
+    golden = json.loads((Path(__file__).parent / "golden" / "fits.json").read_text())
+    for name, data in golden["datasets"].items():
+        votes = np.array([[int(c) for c in row] for row in data["votes"]], dtype=np.int8)
+        v = VoteMatrix(votes=votes, item_ids=tuple(map(str, range(len(votes)))),
+                       judge_names=tuple(f"j{j + 1}" for j in range(votes.shape[1])))
+        yield pytest.param(name, v, EMConfig(seed=data["seed"]), id=name)
+    yield pytest.param("flipping-k16", _flipping_k16_votes(), EMConfig(max_iters=30), id="flipping-k16")
+
+
+@pytest.mark.parametrize("family", list(FITTERS))
+@pytest.mark.parametrize("name, v, config", list(_predict_cases()))
+def test_predict_reproduces_fit_posterior(name, v, config, family):
+    # A fit's posterior is em.predict at its final, possibly flipped, parameters.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = FITTERS[family](v, config)
+    if name == "flipping-k16" and family.startswith("ising"):
+        assert fit.trace.flipped
+    assert np.array_equal(em.predict(fit.params, v).gamma, fit.posterior.gamma)

@@ -29,7 +29,8 @@ from judgeagg import (
 from judgeagg import ising, presets
 from judgeagg.curie_weiss import CWClassSpec, CWExperimentSpec, sample_labeled_cw
 from judgeagg.data import rng_from
-from judgeagg.ising import all_configs, class_conditional_table, posterior_predict, sample_labeled
+from judgeagg.em import predict
+from judgeagg.ising import all_configs, class_conditional_table, sample_labeled
 from judgeagg.reproduce import aligned_accuracy
 
 
@@ -165,6 +166,19 @@ class TestBayesLogOdds:
             ci = CIParams(pi=p.pi, alpha=expit(h1), beta=1 - expit(h0))
             j = rng.integers(0, 2, k)
             assert bayes_log_odds(p, j) == pytest.approx(ci_log_odds(ci, j), abs=1e-10)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "class-dependent"])
+    def test_predict_matches_quadratic_rule(self, shared):
+        # em.predict scores rows as energy - log Z per class; the quadratic
+        # rule is the reference it must agree with below the exact cutoff.
+        rng = np.random.default_rng(26)
+        for k in (1, 3, 8, 12, ising.K_MAX_EXACT):
+            p = random_ising(rng, k, shared=shared, scale=0.5)
+            votes = (rng.random((300, k)) < 0.5).astype(np.int8)
+            v = VoteMatrix(votes=votes, item_ids=tuple(map(str, range(300))),
+                           judge_names=tuple(f"j{j + 1}" for j in range(k)))
+            want = expit(ising.bayes_log_odds_matrix(p, votes))
+            np.testing.assert_allclose(predict(p, v).gamma, want, rtol=0, atol=1e-12)
 
 
 class TestCiFromMarginals:
@@ -476,7 +490,7 @@ class TestEmFitIsing:
             vtr = sample_labeled(presets.SHARED_DEMO, 5000, 500 + seed)
             vte = sample_labeled(presets.SHARED_DEMO, 5000, 9500 + seed)
             fit = em_fit_ising(vtr, "class_dependent", EMConfig(seed=seed))
-            acc_cd = aligned_accuracy(posterior_predict(fit.params, vte).gamma, vte.gold_labels)
+            acc_cd = aligned_accuracy(predict(fit.params, vte).gamma, vte.gold_labels)
             fit_c = em_fit_ci(vtr, EMConfig(seed=seed))
             acc_ci = aligned_accuracy(wmv_predict(fit_c.params, vte).gamma, vte.gold_labels)
             gaps.append(acc_cd - acc_ci)
@@ -488,7 +502,7 @@ class TestEmFitIsing:
             vtr = sample_labeled(presets.SHARED_DEMO, 5000, 500 + seed)
             vte = sample_labeled(presets.SHARED_DEMO, 5000, 9500 + seed)
             fit = em_fit_ising(vtr, "class_independent", EMConfig(seed=seed))
-            acc_sh = aligned_accuracy(posterior_predict(fit.params, vte).gamma, vte.gold_labels)
+            acc_sh = aligned_accuracy(predict(fit.params, vte).gamma, vte.gold_labels)
             fit_c = em_fit_ci(vtr, EMConfig(seed=seed))
             acc_ci = aligned_accuracy(wmv_predict(fit_c.params, vte).gamma, vte.gold_labels)
             diffs.append(acc_sh - acc_ci)
