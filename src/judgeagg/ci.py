@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from . import em
-from .data import PosteriorVector, VoteMatrix, rng_from
+from .data import PosteriorVector, VoteMatrix, rng_from, simulated_votes
 from .em import PI_EPS, EMConfig, EMFit, EMTrace, judge_weights
 
 
@@ -48,6 +48,10 @@ class CIParams:
     def weights(self) -> np.ndarray:
         return judge_weights(self.alpha, self.beta)
 
+    def weight_sum(self) -> float:
+        """Sum of the judge weights: positive when the judges beat random on average."""
+        return float(self.weights().sum())
+
     def flipped(self) -> "CIParams":
         # Relabeling Y -> 1-Y swaps the error roles: alpha' = 1-beta, beta' = 1-alpha.
         return CIParams(pi=1.0 - self.pi, alpha=1.0 - self.beta, beta=1.0 - self.alpha)
@@ -79,15 +83,13 @@ def umv_predict(v: VoteMatrix) -> PosteriorVector:
     return PosteriorVector(v.votes.mean(axis=1))
 
 
-def sample_ci(p: CIParams, n: int, seed: int, judge_names=None) -> VoteMatrix:
+def sample_ci(p: CIParams, n: int, seed: int) -> VoteMatrix:
     """Simulate n items from the CI model, gold labels included."""
     rng = rng_from(seed, 11)
     y = (rng.random(n) < p.pi).astype(np.int8)
     rates = np.where(y[:, None] == 1, p.alpha[None, :], 1.0 - p.beta[None, :])
     votes = (rng.random((n, p.k)) < rates).astype(np.int8)
-    names = judge_names if judge_names is not None else tuple(f"j{i+1}" for i in range(p.k))
-    ids = tuple(str(i) for i in range(n))
-    return VoteMatrix(votes=votes, item_ids=ids, judge_names=names, gold_labels=y)
+    return simulated_votes(votes, y)
 
 
 def _beta_log_prior(p: CIParams, a: float, b: float) -> float:
@@ -125,9 +127,6 @@ class _CIModel:
 
     def params(self, pi: float) -> CIParams:
         return self.current
-
-    def orientation(self, params: CIParams) -> float:
-        return float(params.weights().sum())
 
 
 def _map_mstep(patterns: np.ndarray, w1: np.ndarray, w0: np.ndarray, pi: float, a: float, b: float) -> CIParams:

@@ -8,6 +8,7 @@ reproduce check failed, 2 input error.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import em
 from .ci import CIParams, em_fit_ci, sample_ci, umv_predict
-from .data import (SplitSpec, VoteDataError, VoteMatrix, accuracy, load_votes, rng_from, save_votes, split,
-                   write_csv_rows)
+from .data import (SplitSpec, VoteDataError, VoteMatrix, accuracy, load_votes, rng_from, save_votes,
+                   simulated_votes, split, write_csv_rows)
 from .em import EMConfig, EMFit, EMTrace
 
 # The Ising, factor and Curie-Weiss modules (and scipy.optimize with the
@@ -33,10 +34,6 @@ REPRODUCE_NAMES = ("ci-setups", "cw-separation-thm31", "cw-separation-thm32", "f
 def _fail(message: str, code: int = 2):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _em_config(seed, tol, max_iters, prior_a, prior_b) -> EMConfig:
-    return EMConfig(tol=tol, max_iters=max_iters, seed=seed, prior_a=prior_a, prior_b=prior_b)
 
 
 def _json_dumps(payload: dict) -> str:
@@ -112,13 +109,9 @@ def main():
     """Aggregate binary judge votes with dependence-aware models."""
 
 
-_common = [
-    click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--tol", type=float, default=1e-6, show_default=True),
-    click.option("--max-iters", type=int, default=200, show_default=True),
-    click.option("--prior-a", type=float, default=2.0, show_default=True),
-    click.option("--prior-b", type=float, default=2.0, show_default=True),
-]
+# One flag per EMConfig field, named, typed and defaulted by it.
+_common = [click.option("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default, show_default=True)
+           for f in dataclasses.fields(EMConfig)]
 
 
 def _with_common(cmd):
@@ -133,13 +126,13 @@ def _with_common(cmd):
 @click.option("--out", type=click.Path(), default=".", show_default=True,
               help="Directory for model JSON, posterior CSV, and report JSON.")
 @_with_common
-def fit(votes_path, model, out, seed, tol, max_iters, prior_a, prior_b):
+def fit(votes_path, model, out, seed, **em_flags):
     """Fit a model by unsupervised EM and write posteriors plus a report."""
     try:
         v = load_votes(votes_path)
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
-        config = _em_config(seed, tol, max_iters, prior_a, prior_b)
+        config = EMConfig(seed=seed, **em_flags)
         fit_model, to_payload, _ = _MODELS[model]()
         fitres = fit_model(v, config)
         payload = to_payload(fitres.params)
@@ -188,8 +181,7 @@ def predict(votes_path, model_file, out):
               help="Judge subsample size per trial (without replacement); default all.")
 @click.option("--out", type=click.Path(), default=None, help="Optional JSON output path.")
 @_with_common
-def evaluate(votes_path, models, trials, train_fraction, num_judges, out,
-             seed, tol, max_iters, prior_a, prior_b):
+def evaluate(votes_path, models, trials, train_fraction, num_judges, out, seed, **em_flags):
     """Mean test accuracy and standard error over seeded train/test trials."""
     try:
         v = load_votes(votes_path)
@@ -211,7 +203,7 @@ def evaluate(votes_path, models, trials, train_fraction, num_judges, out,
                 cols = rng_from(trial_seed, 73).choice(v.k, size=num_judges, replace=False)
                 sub = v.select_judges(np.sort(cols))
             train, test = split(sub, SplitSpec(train_fraction=train_fraction, seed=trial_seed))
-            config = _em_config(trial_seed, tol, max_iters, prior_a, prior_b)
+            config = EMConfig(seed=trial_seed, **em_flags)
             for m in model_list:
                 fit_model, _, _ = _MODELS[m]()
                 post = _predict(fit_model(train, config).params, test)
@@ -236,8 +228,9 @@ def evaluate(votes_path, models, trials, train_fraction, num_judges, out,
 @click.option("--generator", required=True,
               type=click.Choice(["ci-setup-1", "ci-setup-2", "ci-setup-3", "ci-setup-4",
                                  "shared-demo", "classdep-demo", "cw", "factor"]))
-@click.option("-n", "n_items", type=int, default=1000, show_default=True)
-@click.option("--num-judges", type=int, default=None, help="K for cw/factor generators.")
+@click.option("-n", "n_items", type=click.IntRange(min=1), default=1000, show_default=True)
+@click.option("--num-judges", type=click.IntRange(min=1), default=10, show_default=True,
+              help="K for cw/factor generators.")
 @click.option("--beta0", type=float, default=0.5, show_default=True)
 @click.option("--beta1", type=float, default=2.0, show_default=True)
 @click.option("--h0", type=float, default=0.0, show_default=True)
@@ -266,23 +259,18 @@ def simulate(generator, n_items, num_judges, beta0, beta1, h0, c1, pi, a, b, lam
         elif generator == "cw":
             from .curie_weiss import CWClassSpec, CWExperimentSpec, sample_labeled_cw
 
-            k = num_judges or 10
             # The spec checks the inputs (pi, both betas, n) and carries them to the sampler.
             spec = CWExperimentSpec(
                 pi=pi,
                 class0=CWClassSpec(beta=beta0, field_mode="constant", field_value=h0),
                 class1=CWClassSpec(beta=beta1, field_mode="scaled", field_value=c1),
-                k_grid=(k,), n=n_items, threshold_mode="explicit", threshold=0.5, seed=seed)
-            y, spins = sample_labeled_cw(spec, k, rng_from(seed, 79), (seed * 4 + 1, seed * 4 + 2))
-            v = VoteMatrix(votes=((spins + 1) // 2).astype(np.int8),
-                           item_ids=tuple(str(i) for i in range(n_items)),
-                           judge_names=tuple(f"j{i+1}" for i in range(k)),
-                           gold_labels=y)
+                k_grid=(num_judges,), n=n_items, threshold=0.5, seed=seed)
+            y, spins = sample_labeled_cw(spec, num_judges, rng_from(seed, 79), (seed * 4 + 1, seed * 4 + 2))
+            v = simulated_votes(((spins + 1) // 2).astype(np.int8), y)
         elif generator == "factor":
             from .factor import FactorParams, sample_factor
 
-            k = num_judges or 10
-            v = sample_factor(FactorParams(pi=pi, a=a, b=b, lam=lam, sigma2_z=sigma2), k, n_items, seed)
+            v = sample_factor(FactorParams(pi=pi, a=a, b=b, lam=lam, sigma2_z=sigma2), num_judges, n_items, seed)
         else:
             raise VoteDataError(generator)
         save_votes(v, out)

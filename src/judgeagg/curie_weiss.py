@@ -190,7 +190,10 @@ def marginal_limit(spec: CWClassSpec) -> float:
 
 @dataclass(frozen=True)
 class CWExperimentSpec:
-    """A full separation experiment: prior, both class laws, K grid, sizes."""
+    """A full separation experiment: prior, both class laws, K grid, sizes.
+
+    ``threshold=None`` thresholds the magnetization statistic at :func:`auto_threshold`.
+    """
 
     pi: float
     class0: CWClassSpec
@@ -198,7 +201,6 @@ class CWExperimentSpec:
     k_grid: tuple[int, ...]
     n: int
     statistic: str = "absolute"
-    threshold_mode: str = "auto"
     threshold: float | None = None
     seed: int = 0
 
@@ -209,10 +211,6 @@ class CWExperimentSpec:
             raise ValueError("K values and n must be >= 1")
         if self.statistic not in ("squared", "absolute"):
             raise ValueError(f"unknown statistic {self.statistic!r}")
-        if self.threshold_mode not in ("auto", "explicit"):
-            raise ValueError(f"unknown threshold_mode {self.threshold_mode!r}")
-        if self.threshold_mode == "explicit" and self.threshold is None:
-            raise ValueError("explicit threshold_mode requires a threshold")
 
 
 def sample_labeled_cw(spec: CWExperimentSpec, k: int, label_rng, seeds: tuple[int, int]):
@@ -261,7 +259,7 @@ def run_separation(spec: CWExperimentSpec) -> list[dict]:
     class law; the CI oracle uses exact finite-K marginals. Standard errors
     are binomial; with n = 1 they are flagged unreliable (NaN).
     """
-    t = spec.threshold if spec.threshold_mode == "explicit" else auto_threshold(spec)
+    t = auto_threshold(spec) if spec.threshold is None else spec.threshold
     rows = []
     for i, k in enumerate(spec.k_grid):
         y, spins = sample_labeled_cw(spec, k, rng_from(spec.seed, 53, i),

@@ -96,6 +96,12 @@ class VoteMatrix:
         )
 
 
+def simulated_votes(votes: np.ndarray, gold: np.ndarray) -> VoteMatrix:
+    """A simulated vote matrix with its gold labels: items ``0..n-1``, judges ``j1..jK``."""
+    return VoteMatrix(votes=votes, item_ids=tuple(map(str, range(len(votes)))),
+                      judge_names=tuple(f"j{i+1}" for i in range(votes.shape[1])), gold_labels=gold)
+
+
 @dataclass(frozen=True)
 class PosteriorVector:
     """Per-item posterior gamma_i = Pr(Y_i = 1 | votes) and hard labels.
@@ -113,9 +119,6 @@ class PosteriorVector:
             raise ValueError("gamma must be a 1-D vector of probabilities in [0,1]")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "hard_labels", (gamma >= 0.5).astype(np.int8))
-
-    def flipped(self) -> "PosteriorVector":
-        return PosteriorVector(1.0 - self.gamma)
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,13 @@ carries its item count and its summed class-1 responsibility ``w1``, with
 
 :func:`run` is the loop, written once, and the only caller of
 :func:`mixture_estep`. A model family plugs in as a class built once per
-restart as ``family(patterns, trace)``, with three methods:
+restart as ``family(patterns, trace)``, with two methods:
 
 - ``step(w1, w0, pi) -> (s1, s0, penalty)``: one M-step from the class
   weights, then the new parameters' pattern log-scores and log prior;
 - ``params(pi)``: the current parameters, with class prior ``pi``; they
-  provide ``pi``, ``k``, ``flipped()`` and ``log_scores``;
-- ``orientation(params)``: the weight sum :func:`resolve_flip` reads.
+  provide ``pi``, ``k``, ``flipped()``, ``log_scores`` and ``weight_sum()``,
+  the judge weight sum :func:`resolve_flip` reads.
 """
 
 from __future__ import annotations
@@ -213,10 +213,10 @@ def run(v: VoteMatrix, family, config: EMConfig, strategies=INIT_STRATEGIES, ci_
             prev = obj
         if best is None or obj > best[0] + RESTART_MARGIN * abs(best[0]):
             params = model.params(pi)
-            best = obj, params, model.orientation(params), trace
+            best = obj, params, params.weight_sum(), trace
         del model  # no restart's arrays outlive it
-    _, params, orientation, trace = best
-    if resolve_flip(orientation, params.pi):
+    _, params, weight_sum, trace = best
+    if resolve_flip(weight_sum, params.pi):
         params = params.flipped()
         trace.flipped = True
     return EMFit(params=params, posterior=_predict_rows(params, patterns, inverse), trace=trace)

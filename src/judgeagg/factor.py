@@ -15,7 +15,7 @@ from scipy.special import expit, logsumexp
 
 from . import em
 from .ci import em_fit_ci
-from .data import VoteMatrix, rng_from, separation_row
+from .data import VoteMatrix, rng_from, separation_row, simulated_votes
 from .em import EMConfig, EMFit, judge_weights
 
 QUAD_NODES = 61
@@ -98,17 +98,23 @@ class MultiFactorParams:
         """log Pr(J | Y=1) and log Pr(J | Y=0) of every vote row (:func:`factor_log_lik`)."""
         return factor_log_lik(self, rows, 1), factor_log_lik(self, rows, 0)
 
+    def weight_sum(self) -> float:
+        """Judge weight sum of the CI rule on the implied per-judge rates (rank 1, like :meth:`log_scores`)."""
+        (lam,) = self.loadings.T  # raises beyond rank 1
+        eps = 1e-9
+        alpha = _quad_mean(self.eta(1), lam)
+        m0 = _quad_mean(self.eta(0), lam)
+        return float(judge_weights(np.clip(alpha, eps, 1 - eps), np.clip(1.0 - m0, eps, 1 - eps)).sum())
 
-def sample_factor(p: FactorParams, k: int, n: int, seed: int, judge_names=None) -> VoteMatrix:
+
+def sample_factor(p: FactorParams, k: int, n: int, seed: int) -> VoteMatrix:
     """Simulate n items: Y ~ Bern(pi), Z ~ N(0, sigma2_z), votes i.i.d. given (Y, Z)."""
     rng = rng_from(seed, 31)
     y = (rng.random(n) < p.pi).astype(np.int8)
     z = rng.normal(0.0, np.sqrt(p.sigma2_z), size=n)
     rate = expit(p.b + p.a * (2 * y - 1) + p.lam * (2 * y - 1) * z)
     votes = (rng.random((n, k)) < rate[:, None]).astype(np.int8)
-    names = judge_names if judge_names is not None else tuple(f"j{i+1}" for i in range(k))
-    return VoteMatrix(votes=votes, item_ids=tuple(str(i) for i in range(n)),
-                      judge_names=names, gold_labels=y)
+    return simulated_votes(votes, y)
 
 
 def marginal_success(p: FactorParams, y: int) -> float:
@@ -190,9 +196,7 @@ def factor_log_lik(p: MultiFactorParams, votes: np.ndarray, y: int) -> np.ndarra
     """Exact (quadrature) log Pr(J | Y=y) per item for the rank-1 model."""
     if p.rank != 1:
         raise ValueError("quadrature evidence implemented for rank-1 loadings only")
-    votes = np.asarray(votes, dtype=float)
-    lam = p.loadings[:, 0]
-    return _node_scores(votes, p.eta(y), lam)[0]
+    return _node_scores(np.asarray(votes, dtype=float), p.eta(y), p.loadings[:, 0])[0]
 
 
 def _node_scores(votes: np.ndarray, eta0: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,14 +259,6 @@ class _FactorModel:
     def params(self, pi) -> MultiFactorParams:
         lam = -self.lam if self.lam.sum() < 0 else self.lam
         return MultiFactorParams(a=self.a, b=self.b, loadings=lam[:, None], pi=pi)
-
-    def orientation(self, params: MultiFactorParams) -> float:
-        # Weights of the CI rule on the model's implied per-judge rates.
-        lam = params.loadings[:, 0]
-        eps = 1e-9
-        alpha = _quad_mean(params.eta(1), lam)
-        m0 = _quad_mean(params.eta(0), lam)
-        return float(judge_weights(np.clip(alpha, eps, 1 - eps), np.clip(1.0 - m0, eps, 1 - eps)).sum())
 
 
 def _mstep_newton(votes, w1, w0, a, b, lam, log_r):

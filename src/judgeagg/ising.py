@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from . import em
 from .ci import CIParams, em_fit_ci
-from .data import VoteMatrix, rng_from
+from .data import VoteMatrix, rng_from, simulated_votes
 from .em import INIT_STRATEGIES, PI_EPS, EMConfig, EMFit
 
 K_MAX_EXACT = 15
@@ -97,6 +97,13 @@ class IsingParams:
     def log_scores(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class-1 and class-0 log-scores of every vote row (see :func:`_class_scores`)."""
         return _class_scores(rows, self.h1, self.W1), _class_scores(rows, self.h0, self.W0)
+
+    def weight_sum(self) -> float:
+        """Judge weight sum of the exact per-judge marginals (:func:`ci_from_marginals`) up to :data:`K_MAX_EXACT`."""
+        if self.k <= K_MAX_EXACT:
+            return float(ci_from_marginals(self).weights().sum())
+        # Beyond the cutoff the field shift is the linear-rule weight vector.
+        return float((self.h1 - self.h0).sum())
 
     def to_json(self) -> str:
         mode = "class_independent" if self.shared_couplings else "class_dependent"
@@ -256,7 +263,7 @@ def sample_ising(h, W, n: int, seed: int) -> np.ndarray:
     return all_configs(p.k)[idx].astype(np.int8)
 
 
-def sample_labeled(p: IsingParams, n: int, seed: int, judge_names=None) -> VoteMatrix:
+def sample_labeled(p: IsingParams, n: int, seed: int) -> VoteMatrix:
     """Simulate n labeled items: Y ~ Bernoulli(pi), votes from the class model."""
     rng = rng_from(seed, 29)
     y = (rng.random(n) < p.pi).astype(np.int8)
@@ -266,9 +273,7 @@ def sample_labeled(p: IsingParams, n: int, seed: int, judge_names=None) -> VoteM
         votes[y == 1] = sample_ising(p.h1, p.W1, n1, seed * 2 + 1)
     if n - n1:
         votes[y == 0] = sample_ising(p.h0, p.W0, n - n1, seed * 2 + 2)
-    names = judge_names if judge_names is not None else tuple(f"j{i+1}" for i in range(p.k))
-    return VoteMatrix(votes=votes, item_ids=tuple(str(i) for i in range(n)),
-                      judge_names=names, gold_labels=y)
+    return simulated_votes(votes, y)
 
 
 # ---------------------------------------------------------------------------
@@ -501,26 +506,22 @@ def minimize(fun, x0) -> NewtonResult:
     return NewtonResult(x, f, nfev, nit, True)
 
 
-def fit_pseudo(v: VoteMatrix | np.ndarray, weights, lam: float = LAMBDA_REG,
-               prior_a: float = 2.0, prior_b: float = 2.0,
-               x0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def fit_pseudo(v: VoteMatrix | np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
     """Maximize the penalized pseudo-log-likelihood over (h, W) jointly.
 
-    Full-parameter damped Newton on the symmetric parameterization (one tied
-    value per pair), with the coupling ridge and a Beta(prior_a, prior_b)
-    prior on each field's success probability. Raises
-    :class:`PseudoFitError` (carrying the best iterate) when the solve ends
-    before its gradient stop.
+    Full-parameter damped Newton from zero on the symmetric parameterization
+    (one tied value per pair), with the coupling ridge :data:`LAMBDA_REG`
+    and a Beta(2, 2) prior on each field's success probability, as in the
+    EM M-step at the default ``EMConfig``. Raises :class:`PseudoFitError`
+    (carrying the best iterate) when the solve ends before its gradient stop.
     """
     votes = v.votes.astype(float) if isinstance(v, VoteMatrix) else np.asarray(v, dtype=float)
     n, k = votes.shape
     if n < k + 1:
         warnings.warn(f"pseudo-likelihood fit with n={n} < K+1={k + 1} items is poorly determined")
-    if x0 is None:
-        x0 = np.zeros(k + k * (k - 1) // 2)
     weights = np.asarray(weights, dtype=float)
     res = minimize(partial(_neg_pll_newton, design=_PLLDesign(votes), weights=weights,
-                           lam=lam, a=prior_a, b=prior_b), x0)
+                           lam=LAMBDA_REG, a=2.0, b=2.0), np.zeros(k + k * (k - 1) // 2))
     h, W = _unpack(res.x, k)
     if not res.success:
         raise PseudoFitError("pseudo-likelihood solver did not converge within its step cap", h, W)
@@ -531,34 +532,28 @@ def fit_pseudo(v: VoteMatrix | np.ndarray, weights, lam: float = LAMBDA_REG,
 # Generalized EM driver
 
 
-def _class_param_fit(design, w1, w0, mode, x1, x0, lam, a, b):
-    """One M-step: pseudo-likelihood fits for both class models, weighted by w1 and w0."""
+def _class_param_fit(design, w1, w0, shared, x1, x0, lam, a, b):
+    """One M-step: pseudo-likelihood fits for both class models, weighted by w1 and w0.
+
+    Returns the class-1 and class-0 ``(h, triu W)`` vectors.
+    """
     votes, k = design.votes, design.k
     if k == 1:
         # No couplings exist: the weighted Bernoulli MAP has a closed form
         # identical to the CI fitter's update, kept inside (0,1) as there.
         s1 = np.clip((a - 1.0 + w1 @ votes[:, 0]) / (a + b - 2.0 + w1.sum()), PI_EPS, 1.0 - PI_EPS)
         s0 = np.clip((a - 1.0 + w0 @ votes[:, 0]) / (a + b - 2.0 + w0.sum()), PI_EPS, 1.0 - PI_EPS)
-        z = np.zeros((1, 1))
-        return (np.array([np.log(s0 / (1 - s0))]), np.array([np.log(s1 / (1 - s1))]), z, z,
-                np.array([np.log(s1 / (1 - s1))]), np.array([np.log(s0 / (1 - s0))]))
-    if mode == "class_dependent":
-        nx1 = minimize(partial(_neg_pll_newton, design=design, weights=w1, lam=lam, a=a, b=b), x1).x
-        nx0 = minimize(partial(_neg_pll_newton, design=design, weights=w0, lam=lam, a=a, b=b), x0).x
-        h1, W1 = _unpack(nx1, k)
-        h0, W0 = _unpack(nx0, k)
-    else:
-        # Shared couplings: one joint solve over (h1, h0, W) so W0 = W1 holds
-        # exactly rather than by post-hoc averaging.
-        i1, i0 = _shared_slots(k)
-        xj = np.zeros(len(i1) + k)
-        xj[i1], xj[i0[:k]] = x1, x0[:k]
-        xj = minimize(partial(_neg_pll_newton_shared, design=design, w1=w1, w0=w0, lam=lam, a=a, b=b), xj).x
-        nx1, nx0 = xj[i1], xj[i0]
-        h1, W1 = _unpack(nx1, k)
-        h0 = nx0[:k]
-        W0 = W1
-    return h0, h1, W0, W1, nx1, nx0
+        return np.array([np.log(s1 / (1 - s1))]), np.array([np.log(s0 / (1 - s0))])
+    if not shared:
+        return (minimize(partial(_neg_pll_newton, design=design, weights=w1, lam=lam, a=a, b=b), x1).x,
+                minimize(partial(_neg_pll_newton, design=design, weights=w0, lam=lam, a=a, b=b), x0).x)
+    # Shared couplings: one joint solve over (h1, h0, W) so W0 = W1 holds
+    # exactly rather than by post-hoc averaging.
+    i1, i0 = _shared_slots(k)
+    xj = np.zeros(len(i1) + k)
+    xj[i1], xj[i0[:k]] = x1, x0[:k]
+    xj = minimize(partial(_neg_pll_newton_shared, design=design, w1=w1, w0=w0, lam=lam, a=a, b=b), xj).x
+    return xj[i1], xj[i0]
 
 
 def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig = EMConfig()) -> EMFit:
@@ -580,7 +575,7 @@ def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig 
     if v.k > K_MAX_EXACT:
         warnings.warn(f"exact evidence unavailable for K={v.k} (cutoff {K_MAX_EXACT}); "
                       "E-step falls back to pseudo-likelihood class scores")
-    family = partial(_IsingModel, mode=mode, config=config)
+    family = partial(_IsingModel, shared=mode == "class_independent", config=config)
     # With a single judge no couplings exist and the model coincides with the
     # CI fitter; run the matched single-init procedure so outputs agree.
     strategies = ("majority",) if v.k == 1 else INIT_STRATEGIES
@@ -588,55 +583,45 @@ def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig 
 
 
 class _IsingModel:
-    """One restart of the Ising family for :func:`em.run`, from zero fields and couplings."""
+    """One restart of the Ising family for :func:`em.run`, from zero fields and couplings.
 
-    def __init__(self, patterns, trace, mode, config):
-        k = patterns.shape[1]
-        self.patterns, self.trace = patterns, trace
-        self.design = _PLLDesign(patterns)
-        self.mode, self.shared = mode, mode == "class_independent"
+    Its state: the class-1 and class-0 ``(h, triu W)`` vectors, and ``cur``, their :meth:`_score`.
+    """
+
+    def __init__(self, patterns, trace, shared, config):
+        self.patterns, self.trace, self.shared, self.design = patterns, trace, shared, _PLLDesign(patterns)
         self.lam, self.a, self.b = LAMBDA_REG, config.prior_a, config.prior_b
-        npar = k + k * (k - 1) // 2
-        self.x1 = np.zeros(npar)
-        self.x0 = np.zeros(npar)
-        self.h0 = self.h1 = np.zeros(k)
-        self.W0 = self.W1 = np.zeros((k, k))
-        self.s1 = self.s0 = None
+        k = patterns.shape[1]
+        self.x1 = self.x0 = np.zeros(k + k * (k - 1) // 2)
+        self.cur = None
 
-    def _penalty(self, h0, h1, W0, W1) -> float:
-        p0 = _field_prior(h0, self.a, self.b)[0]
-        p1 = _field_prior(h1, self.a, self.b)[0]
-        if self.shared:
-            ridge = self.lam * np.sum(W1 ** 2)
-        else:
-            ridge = self.lam * (np.sum(W0 ** 2) + np.sum(W1 ** 2))
-        return p0 + p1 - ridge
+    def _score(self, x1, x0):
+        """Both classes' pattern log-scores and the fields' priors minus the coupling ridge."""
+        k = self.design.k
+        (h1, W1), (h0, W0) = _unpack(x1, k), _unpack(x0, k)
+        ridge = np.sum(W1 ** 2) if self.shared else np.sum(W0 ** 2) + np.sum(W1 ** 2)
+        penalty = _field_prior(h0, self.a, self.b)[0] + _field_prior(h1, self.a, self.b)[0] - self.lam * ridge
+        return _class_scores(self.patterns, h1, W1), _class_scores(self.patterns, h0, W0), penalty
 
     def step(self, w1, w0, pi):
-        cand = _class_param_fit(self.design, w1, w0, self.mode, self.x1, self.x0, self.lam, self.a, self.b)
-        ch0, ch1, cW0, cW1 = cand[:4]
-        cs1 = _class_scores(self.patterns, ch1, cW1)
-        cs0 = _class_scores(self.patterns, ch0, cW0)
-        q_cand = float(w1 @ cs1 + w0 @ cs0) + self._penalty(ch0, ch1, cW0, cW1)
-        accept = self.s1 is None  # the first M-step has nothing to fall back to
-        if not accept:
-            q_cur = float(w1 @ self.s1 + w0 @ self.s0) + self._penalty(self.h0, self.h1, self.W0, self.W1)
-            accept = q_cand >= q_cur - 1e-9
-        if accept:
-            self.h0, self.h1, self.W0, self.W1, self.x1, self.x0 = cand
-            self.s1, self.s0 = cs1, cs0
+        x1, x0 = _class_param_fit(self.design, w1, w0, self.shared, self.x1, self.x0, self.lam, self.a, self.b)
+        cand = self._score(x1, x0)
+        # The first M-step has nothing to fall back to.
+        if self.cur is None or _expected(w1, w0, cand) >= _expected(w1, w0, self.cur) - 1e-9:
+            self.x1, self.x0, self.cur = x1, x0, cand
         else:
             # Safeguard: the pseudo-likelihood step degraded the expected
             # complete-data objective under the active scores; keep the old
             # parameters (generalized EM allows a null M-step).
             self.trace.notes.append(f"iter {self.trace.n_iters}: M-step rejected by safeguard")
-        return self.s1, self.s0, self._penalty(self.h0, self.h1, self.W0, self.W1)
+        return self.cur
 
     def params(self, pi) -> IsingParams:
-        return IsingParams(pi=pi, h0=self.h0, h1=self.h1, W0=self.W0, W1=self.W1, shared_couplings=self.shared)
+        (h1, W1), (h0, W0) = _unpack(self.x1, self.design.k), _unpack(self.x0, self.design.k)
+        return IsingParams(pi=pi, h0=h0, h1=h1, W0=W0, W1=W1, shared_couplings=self.shared)
 
-    def orientation(self, params: IsingParams) -> float:
-        if params.k <= K_MAX_EXACT:
-            return float(ci_from_marginals(params).weights().sum())
-        # Beyond the cutoff the field shift is the linear-rule weight vector.
-        return float((params.h1 - params.h0).sum())
+
+def _expected(w1, w0, scored) -> float:
+    """Expected complete-data objective of ``(s1, s0, penalty)`` under class weights w1, w0."""
+    s1, s0, penalty = scored
+    return float(w1 @ s1 + w0 @ s0) + penalty

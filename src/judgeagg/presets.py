@@ -130,7 +130,6 @@ CW_SYMMETRIC = CWExperimentSpec(
     k_grid=(10, 25, 50, 100),
     n=1000,
     statistic="squared",
-    threshold_mode="auto",
     seed=2,
 )
 CW_SYMMETRIC_CI_RISK = (0.3, 0.02)
@@ -147,7 +146,6 @@ CW_INFORMATIVE = CWExperimentSpec(
     k_grid=(10, 25, 50, 100, 200),
     n=2000,
     statistic="absolute",
-    threshold_mode="auto",
     seed=0,
 )
 CW_INFORMATIVE_CI_RISK_TOL = 0.03

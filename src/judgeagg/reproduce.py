@@ -122,12 +122,13 @@ def run_motivating_example(shared: bool = True):
     return checks, {"conditional_table": table_rows}
 
 
-def run_ci_setups(seed: int = 0, trials: int = presets.CI_SETUP_TRIALS, n: int = presets.CI_SETUP_N):
+def run_ci_setups(seed: int = 0):
     """Weighted-vs-uniform majority vote on the four reference setups.
 
     Fits the CI model by EM on each simulated batch and scores flip-aligned
     accuracy (the unsupervised labeling is defined up to a global flip).
     """
+    trials, n = presets.CI_SETUP_TRIALS, presets.CI_SETUP_N
     checks: list[Check | BoundCheck] = []
     rows = []
     means = {}
@@ -155,10 +156,6 @@ def run_ci_setups(seed: int = 0, trials: int = presets.CI_SETUP_TRIALS, n: int =
     return checks, {"ci_setups": rows}
 
 
-def _risk_table_rows(rows):
-    return [{k: row[k] for k in ("K", "risk_bayes", "risk_ci", "sep", "se_bayes", "se_ci")} for row in rows]
-
-
 def run_cw_symmetric(seed: int | None = None):
     """Zero-field Curie-Weiss separation: CI pins to the prior risk."""
     spec = presets.CW_SYMMETRIC if seed is None else replace(presets.CW_SYMMETRIC, seed=seed)
@@ -175,7 +172,7 @@ def run_cw_symmetric(seed: int | None = None):
         checks.append(BoundCheck(
             f"magnetization risk non-increasing K={prev['K']}->{cur['K']} (2se slack)",
             cur["risk_bayes"] - prev["risk_bayes"], slack))
-    return checks, {"risk_table": _risk_table_rows(rows)}
+    return checks, {"risk_table": rows}
 
 
 def run_cw_informative(seed: int | None = None):
@@ -196,7 +193,7 @@ def run_cw_informative(seed: int | None = None):
                         presets.CW_INFORMATIVE_CI_RISK_TOL))
     checks.append(BoundCheck(f"|M| rule risk at K={k_max}", last["risk_bayes"],
                              presets.CW_INFORMATIVE_BAYES_RISK_AT_KMAX))
-    return checks, {"risk_table": _risk_table_rows(rows)}
+    return checks, {"risk_table": rows}
 
 
 def run_factor_experiment(seed: int = 0):
@@ -213,7 +210,7 @@ def run_factor_experiment(seed: int = 0):
         if row["K"] >= presets.FACTOR_SEPARATION_MIN_K:
             slack = 2.0 * float(np.hypot(row["se_bayes"], row["se_ci"]))
             checks.append(BoundCheck(f"separation >= -2se at K={row['K']}", -row["sep"], slack))
-    return checks, {"risk_table": _risk_table_rows(rows)}
+    return checks, {"risk_table": rows}
 
 
 REPRODUCE_TARGETS = {

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import judgeagg
+from judgeagg import EMConfig
 from judgeagg.cli import main
 
 SRC = str(Path(judgeagg.__file__).resolve().parent.parent)
@@ -45,13 +47,31 @@ class TestSimulate:
     @pytest.mark.parametrize("args, message", [
         (("--pi", "1.5"), "pi must lie strictly inside (0,1)"),
         (("--beta0", "-1"), "beta must be positive"),
-        (("-n", "0"), "K values and n must be >= 1"),
     ])
     def test_cw_rejects_invalid_inputs(self, runner, tmp_path, args, message):
         res = runner.invoke(main, ["simulate", "--generator", "cw", "--out", str(tmp_path / "cw.csv"), *args])
         assert res.exit_code == 2
         assert f"error: {message}" in res.output
         assert not (tmp_path / "cw.csv").exists()
+
+    @pytest.mark.parametrize("generator", ["cw", "factor"])
+    @pytest.mark.parametrize("args", [("-n", "0"), ("-n", "-1"), ("--num-judges", "0"), ("--num-judges", "-2")],
+                             ids=" ".join)
+    def test_bad_count_exits_2(self, runner, tmp_path, generator, args):
+        out = tmp_path / "votes.csv"
+        res = runner.invoke(main, ["simulate", "--generator", generator, "--out", str(out), *args])
+        assert res.exit_code == 2, res.output
+        assert "Invalid value" in res.output
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_em_flags_mirror_em_config(command):
+    # One flag per EMConfig field, named after it and defaulting to its default.
+    options = {p.name: p for p in main.commands[command].params}
+    for f in dataclasses.fields(EMConfig):
+        assert options[f.name].opts == ["--" + f.name.replace("_", "-")]
+        assert options[f.name].default == f.default
 
 
 class TestFit:

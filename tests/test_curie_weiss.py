@@ -171,7 +171,7 @@ class TestRunSeparation:
     def test_smallest_run(self):
         spec = CWExperimentSpec(pi=0.5, class0=CWClassSpec(beta=0.5),
                                 class1=CWClassSpec(beta=2.0), k_grid=(5,), n=1,
-                                statistic="squared", threshold_mode="auto", seed=0)
+                                statistic="squared", seed=0)
         rows = run_separation(spec)
         assert rows[0]["risk_bayes"] in (0.0, 1.0)
         assert np.isnan(rows[0]["se_bayes"])
@@ -183,14 +183,13 @@ class TestRunSeparation:
             pi=0.5,
             class0=CWClassSpec(beta=0.5, field_mode="constant", field_value=-2.0),
             class1=CWClassSpec(beta=1.2, field_mode="scaled", field_value=1.0),
-            k_grid=(10,), n=10, statistic="absolute", threshold_mode="auto", seed=0)
+            k_grid=(10,), n=10, statistic="absolute", seed=0)
         with pytest.raises(ValueError, match=r"m_star > 1 - 2\*q0"):
             run_separation(spec)
 
     def test_explicit_threshold_used(self):
         spec = CWExperimentSpec(pi=0.5, class0=CWClassSpec(beta=0.5),
                                 class1=CWClassSpec(beta=2.0), k_grid=(20,), n=500,
-                                statistic="absolute", threshold_mode="explicit",
-                                threshold=0.5, seed=1)
+                                statistic="absolute", threshold=0.5, seed=1)
         rows = run_separation(spec)
         assert 0.0 <= rows[0]["risk_bayes"] <= 0.2

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from judgeagg import CIParams, EMConfig, VoteMatrix, em_fit_ci, em_fit_factor, em_fit_ising, save_votes
+from judgeagg import (CIParams, EMConfig, IsingParams, MultiFactorParams, VoteMatrix, em_fit_ci, em_fit_factor,
+                      em_fit_ising, save_votes)
 from judgeagg import em
 from judgeagg.cli import main
 from judgeagg.em import PI_EPS, class_prior, vote_patterns
@@ -130,7 +131,7 @@ def test_constant_judge_columns_give_finite_fit(family, tmp_path):
 
 
 def test_engine_keeps_no_restart_model_alive():
-    # The engine keeps the winning restart's parameters and orientation, not
+    # The engine keeps the winning restart's parameters and weight sum, not
     # its model, so each restart's arrays are freed before the next is built.
     class CountingFamily:
         """A fake family that counts its live instances; each new restart wins."""
@@ -156,9 +157,6 @@ def test_engine_keeps_no_restart_model_alive():
         def params(self, pi):
             k = self.patterns.shape[1]
             return CIParams(pi=pi, alpha=np.full(k, 0.8), beta=np.full(k, 0.7))
-
-        def orientation(self, params):
-            return float(params.weights().sum())
 
     v = _constant_column_votes()
     fit = em.run(v, CountingFamily, EMConfig(), ci_fit=em_fit_ci)
@@ -203,3 +201,25 @@ def test_predict_reproduces_fit_posterior(name, v, config, family):
     if name == "flipping-k16" and family.startswith("ising"):
         assert fit.trace.flipped
     assert np.array_equal(em.predict(fit.params, v).gamma, fit.posterior.gamma)
+
+
+def _weight_sum_cases():
+    rng = np.random.default_rng(7)
+    yield pytest.param(CIParams(pi=0.3, alpha=rng.uniform(0.55, 0.95, 6), beta=rng.uniform(0.5, 0.9, 6)), id="ci")
+    for k in (3, 12, 16):
+        for shared in (True, False):
+            w1 = np.triu(rng.normal(0.0, 0.3, (k, k)), 1)
+            w0 = w1 if shared else np.triu(rng.normal(0.0, 0.3, (k, k)), 1)
+            p = IsingParams(pi=0.6, h0=rng.normal(-1.0, 0.3, k), h1=rng.normal(1.0, 0.3, k),
+                            W0=w0 + w0.T, W1=w1 + w1.T, shared_couplings=shared)
+            yield pytest.param(p, id=f"ising-{'shared' if shared else 'classdep'}-k{k}")
+    yield pytest.param(MultiFactorParams(a=rng.uniform(0.5, 2.0, 8), b=rng.normal(-0.5, 0.3, 8),
+                                         loadings=rng.uniform(0.1, 1.0, 8), pi=0.4), id="factor")
+
+
+@pytest.mark.parametrize("p", list(_weight_sum_cases()))
+def test_flipping_negates_weight_sum(p):
+    # resolve_flip relies on it: the flipped labeling is oriented the other way.
+    w = p.weight_sum()
+    assert abs(w) > 1.0
+    assert abs(p.flipped().weight_sum() + w) <= 1e-12 * abs(w)

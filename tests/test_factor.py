@@ -76,8 +76,8 @@ class TestMarginalSuccess:
     @pytest.mark.parametrize("a, b, lam, sigma2", [(0.7, -0.2, 0.9, 1.0), (0.5, 1.0, 0.1, 2.5), (-0.4, 0.3, 1.7, 0.6)])
     def test_factor_family_rates_match_marginal_success(self, a, b, lam, sigma2):
         # K identical judges with a_j = 2a, b_j = b - a and lam_j = lam sqrt(sigma2)
-        # are the scalar model; the implied rates the factor family's
-        # orientation reads are then the scalar model's marginals.
+        # are the scalar model; the implied rates that weight_sum reads
+        # are then the scalar model's marginals.
         p = FactorParams(pi=0.5, a=a, b=b, lam=lam, sigma2_z=sigma2)
         k = 4
         mp = MultiFactorParams(a=np.full(k, 2 * a), b=np.full(k, b - a),
