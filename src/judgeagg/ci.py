@@ -36,7 +36,7 @@ class CIParams:
         if alpha.shape != beta.shape or alpha.ndim != 1:
             raise ValueError("alpha and beta must be 1-D vectors of equal length")
         for name, arr in (("pi", np.array([self.pi])), ("alpha", alpha), ("beta", beta)):
-            if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+            if not np.all((arr > 0.0) & (arr < 1.0)):
                 raise ValueError(f"{name} must lie strictly inside (0,1)")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)

@@ -95,8 +95,13 @@ _MODELS = {
 MODELS = tuple(_MODELS)
 
 
-def _saved_model_name(payload: dict) -> str:
+def _saved_model_name(payload) -> str:
     """The model a ``model.json`` payload was written by: Ising payloads carry a mode, the rest a name."""
+    if not isinstance(payload, dict):
+        raise VoteDataError("model file must hold a JSON object")
+    for key, value in payload.items():
+        if key not in ("mode", "model") and np.asarray(value).dtype.kind not in "if":
+            raise VoteDataError(f"model file field {key!r} must be a number or a list of numbers")
     if "mode" in payload:
         return "ising-shared" if payload["mode"] == "class_independent" else "ising-classdep"
     if payload.get("model") in ("ci", "factor", "umv"):
@@ -224,6 +229,12 @@ def evaluate(votes_path, models, trials, train_fraction, num_judges, out, seed, 
         _fail(str(exc))
 
 
+# The flags the cw and factor generators read besides -n, --seed and --out,
+# which every generator reads; the presets read no others.
+_GENERATOR_FLAGS = {"cw": ("num_judges", "beta0", "beta1", "h0", "c1", "pi"),
+                    "factor": ("num_judges", "pi", "a", "b", "lam", "sigma2")}
+
+
 @main.command()
 @click.option("--generator", required=True,
               type=click.Choice(["ci-setup-1", "ci-setup-2", "ci-setup-3", "ci-setup-4",
@@ -243,10 +254,15 @@ def evaluate(votes_path, models, trials, train_fraction, num_judges, out, seed, 
 @click.option("--sigma2", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-def simulate(generator, n_items, num_judges, beta0, beta1, h0, c1, pi, a, b, lam, sigma2, seed, out):
+@click.pass_context
+def simulate(ctx, generator, n_items, num_judges, beta0, beta1, h0, c1, pi, a, b, lam, sigma2, seed, out):
     """Write a simulated vote CSV (with gold labels) from a named generator."""
     from . import presets
 
+    read = {"generator", "n_items", "seed", "out", *_GENERATOR_FLAGS.get(generator, ())}
+    for param in ctx.command.params:
+        if param.name not in read and ctx.get_parameter_source(param.name) is click.core.ParameterSource.COMMANDLINE:
+            _fail(f"{param.opts[0]} is not read by the {generator} generator")
     try:
         if generator.startswith("ci-setup-"):
             params = presets.CI_SETUPS[int(generator[-1])]

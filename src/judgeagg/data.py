@@ -115,7 +115,7 @@ class PosteriorVector:
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
-        if gamma.ndim != 1 or np.any(gamma < 0) or np.any(gamma > 1):
+        if gamma.ndim != 1 or not np.all((gamma >= 0) & (gamma <= 1)):
             raise ValueError("gamma must be a 1-D vector of probabilities in [0,1]")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "hard_labels", (gamma >= 0.5).astype(np.int8))

@@ -61,10 +61,10 @@ class EMConfig:
     prior_b: float = 2.0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("tol must be positive and max_iters at least 1")
-        if self.prior_a < 1.0 or self.prior_b < 1.0:
-            raise ValueError("Beta prior parameters must be >= 1 (log-concave MAP updates)")
+        if not 0.0 < self.tol < np.inf or self.max_iters < 1:
+            raise ValueError("tol must be positive and finite, and max_iters at least 1")
+        if not (1.0 <= self.prior_a < np.inf and 1.0 <= self.prior_b < np.inf):
+            raise ValueError("Beta prior parameters must be finite and >= 1 (log-concave MAP updates)")
 
 
 @dataclass
@@ -170,6 +170,60 @@ def predict(params, v: VoteMatrix) -> PosteriorVector:
 
 def _predict_rows(params, patterns: np.ndarray, inverse: np.ndarray) -> PosteriorVector:
     return PosteriorVector(_posterior(params.pi, *params.log_scores(patterns))[inverse])
+
+
+@dataclass(frozen=True)
+class NewtonResult:
+    """Outcome of :func:`minimize`: the best iterate, its value and the work done."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+
+
+_NEWTON_GTOL = 1e-9
+_NEWTON_MAX_STEPS = 100
+_NEWTON_MAX_HALVINGS = 40
+
+
+def minimize(fun, x0) -> NewtonResult:
+    """Damped Newton descent on a convex ``fun(x) -> (value, gradient, Hessian)``.
+
+    Each step solves H d = -g and halves d until the value does not rise
+    (up to rounding). Stops with ``success`` when max|g| <= 1e-9 (1 + |f|),
+    and without it after ``_NEWTON_MAX_STEPS`` steps or when no halving is
+    accepted; ``x`` is the best iterate either way. It solves the Ising
+    and the factor M-steps. The Ising module calls it through its own
+    imported name, ``judgeagg.ising.minimize``, which the per-layer trace
+    of ``perfbench`` wraps to time pseudo-likelihood solves and read
+    ``nfev`` (value+gradient+Hessian evaluations) and ``nit`` (accepted
+    steps); the factor M-step calls ``em.minimize``, outside that trace.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g, hess = fun(x)
+    nfev, nit = 1, 0
+    # Keeps the Newton system solvable where a direction carries no weight (an
+    # Ising node under a flat field prior); the gradient there is 0, as is the step.
+    ridge = 1e-12 * np.eye(len(x))
+    while np.max(np.abs(g)) > _NEWTON_GTOL * (1.0 + abs(f)):
+        if nit == _NEWTON_MAX_STEPS:
+            return NewtonResult(x, f, nfev, nit, False)
+        step = -np.linalg.solve(hess + ridge, g)
+        slack = 1e-13 * (1.0 + abs(f))
+        for _ in range(_NEWTON_MAX_HALVINGS):
+            cand = fun(x + step)
+            nfev += 1
+            if cand[0] <= f + slack:
+                break
+            step *= 0.5
+        else:
+            return NewtonResult(x, f, nfev, nit, False)
+        x = x + step
+        f, g, hess = cand
+        nit += 1
+    return NewtonResult(x, f, nfev, nit, True)
 
 
 def run(v: VoteMatrix, family, config: EMConfig, strategies=INIT_STRATEGIES, ci_fit=None) -> EMFit:

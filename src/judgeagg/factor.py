@@ -19,7 +19,6 @@ from .data import VoteMatrix, rng_from, separation_row, simulated_votes
 from .em import EMConfig, EMFit, judge_weights
 
 QUAD_NODES = 61
-_MSTEP_NEWTON_STEPS = 12  # Newton steps on the node minorizer per M-step
 
 _H_NODES, _H_WEIGHTS = np.polynomial.hermite.hermgauss(QUAD_NODES)
 # E_{Z~N(0,1)} f(Z) = sum_q wq f(zq) with the substitution below.
@@ -70,7 +69,7 @@ class MultiFactorParams:
         lo = np.asarray(self.loadings, dtype=float)
         if lo.ndim == 1:
             lo = lo[:, None]
-        if a.ndim != 1 or a.shape != b.shape or lo.shape[0] != len(a) or lo.shape[1] < 1:
+        if a.ndim != 1 or a.shape != b.shape or lo.ndim != 2 or lo.shape[0] != len(a) or lo.shape[1] < 1:
             raise ValueError("need K-vectors a, b and a (K, r>=1) loading matrix")
         if not (0.0 < self.pi < 1.0):
             raise ValueError("pi must lie strictly inside (0,1)")
@@ -222,10 +221,11 @@ def em_fit_factor(v: VoteMatrix, r: int = 1, config: EMConfig = EMConfig()) -> E
     factor scale is fixed to sigma_Z = 1 and absorbed into the loadings).
     The M-step maximizes the minorizer of the weighted quadrature
     log-likelihood built on the last E-step's node responsibilities: per
-    judge, a concave 3-parameter weighted logistic problem solved by
-    safeguarded Newton steps. The surrogate mixture objective is
-    non-decreasing across iterations. Loadings are canonicalized to
-    non-negative total sign. Every step runs over the distinct vote rows.
+    judge, a concave weighted logistic problem in (a_j, b_j, lam_j), all
+    judges solved together by :func:`em.minimize`. The surrogate mixture
+    objective is non-decreasing across iterations. Loadings are
+    canonicalized to non-negative total sign. Every step runs over the
+    distinct vote rows.
     """
     if r != 1:
         raise ValueError("only rank r=1 fitting is supported")
@@ -267,10 +267,11 @@ def _mstep_newton(votes, w1, w0, a, b, lam, log_r):
     ``log_r`` holds the class-0 and class-1 node log-responsibilities at the
     current parameters (from :func:`_node_scores`); the resulting bound is,
     for each judge, a weighted logistic log-likelihood in (a_j, b_j, lam_j)
-    with node-level weights shared across judges. Newton steps with halving
-    keep the bound (and hence the objective) from decreasing.
+    with node-level weights shared across judges. One :func:`em.minimize`
+    solve over all K judges' parameters, whose Hessian is block-diagonal,
+    keeps the bound (and hence the objective) from decreasing.
     """
-    theta = np.stack([a, b, lam], axis=1)               # (K, 3)
+    k = len(a)
     gw = [w[:, None] * np.exp(r) for w, r in zip((w0, w1), log_r)]    # (n, Q) per class
 
     x = np.stack([
@@ -281,32 +282,13 @@ def _mstep_newton(votes, w1, w0, a, b, lam, log_r):
     cw = np.concatenate([g.sum(axis=0) for g in gw])                    # sum_i g R per node, (2Q,)
     dw = np.concatenate([votes.T @ g for g in gw], axis=1)              # sum_i g R J per judge, (K, 2Q)
 
-    def bound(th):
-        eta = th @ x.T                                                  # (K, 2Q)
-        return np.sum(dw * eta, axis=1) - np.logaddexp(0.0, eta) @ cw
-
-    cur = bound(theta)
-    for _ in range(_MSTEP_NEWTON_STEPS):
-        eta = theta @ x.T
+    def neg_bound(flat):
+        eta = flat.reshape(k, 3) @ x.T                                  # (K, 2Q)
         sig = expit(eta)
-        grad = (dw - cw[None, :] * sig) @ x                             # (K, 3)
-        wts = cw[None, :] * sig * (1.0 - sig)                           # (K, 2Q)
-        hess = np.einsum("kq,qa,qb->kab", wts, x, x)
-        hess += 1e-9 * np.eye(3)[None, :, :]
-        step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-        new = theta + step
-        val = bound(new)
-        shrink = val < cur
-        tries = 0
-        while np.any(shrink) and tries < 30:
-            step[shrink] *= 0.5
-            new = theta + step
-            val = bound(new)
-            shrink = val < cur
-            tries += 1
-        improved = val >= cur
-        theta[improved] = new[improved]
-        cur = np.maximum(cur, val)
-        if np.max(np.abs(grad)) < 1e-8:
-            break
+        hess = np.zeros((k, 3, k, 3))
+        hess[np.arange(k), :, np.arange(k), :] = np.einsum("kq,qa,qb->kab", cw * sig * (1.0 - sig), x, x)
+        return (np.logaddexp(0.0, eta).sum(axis=0) @ cw - np.sum(dw * eta),
+                ((cw * sig - dw) @ x).ravel(), hess.reshape(3 * k, 3 * k))
+
+    theta = em.minimize(neg_bound, np.stack([a, b, lam], axis=1).ravel()).x.reshape(k, 3)
     return theta[:, 0].copy(), theta[:, 1].copy(), theta[:, 2].copy()

@@ -12,8 +12,9 @@ where it ran:
   other votes;
 - ``evaluate`` over all five models;
 - ``reproduce`` for every target, with ``--out``;
-- inputs known to exit 2 (bad counts and flags, malformed or mismatched
-  votes, unknown names).
+- inputs known to exit 2 (bad counts and flags, flags a generator does not
+  read, non-finite EM settings, malformed or mismatched votes and model
+  files, unknown names).
 
 Warnings are recorded per command and hashed as category and text, without
 the file and line they were raised from. Run it at two commits with BLAS
@@ -34,6 +35,17 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from judgeagg import cli
+
+# Model files that are not what ``fit`` writes, by file name.
+MALFORMED_MODELS = {
+    "model-list.json": "[]",
+    "model-number.json": "3",
+    "model-string.json": '"x"',
+    "model-null-loadings.json": '{"model": "factor", "pi": 0.5, "a": [1, 1, 1, 1, 1, 1], '
+                                '"b": [0, 0, 0, 0, 0, 0], "loadings": null}',
+    "model-string-pi.json": '{"model": "ci", "pi": "0.5", "alpha": [0.7, 0.7, 0.7, 0.7, 0.7, 0.7], '
+                            '"beta": [0.7, 0.7, 0.7, 0.7, 0.7, 0.7]}',
+}
 
 GENERATORS = ("ci-setup-1", "ci-setup-2", "ci-setup-3", "ci-setup-4", "shared-demo", "classdep-demo", "cw", "factor")
 
@@ -58,14 +70,20 @@ def commands():
             yield ["simulate", "--generator", gen, flag, value, "--out", "bad.csv"]
     yield ["simulate", "--generator", "cw", "--pi", "1.5", "--out", "bad.csv"]
     yield ["simulate", "--generator", "cw", "--beta0", "-1", "--out", "bad.csv"]
+    yield ["simulate", "--generator", "ci-setup-1", "--num-judges", "4", "--out", "bad.csv"]
+    yield ["simulate", "--generator", "shared-demo", "--beta0", "-3", "--lam", "5", "--out", "bad.csv"]
     yield ["fit", "--votes", "missing.csv", "--model", "ci", "--out", "bad"]
     yield ["fit", "--votes", "empty.csv", "--model", "ci", "--out", "bad"]
     yield ["fit", "--votes", "ragged.csv", "--model", "ci", "--out", "bad"]
     yield ["fit", "--votes", "ci-setup-2.csv", "--model", "ci", "--tol", "0", "--out", "bad"]
+    for flag, value in (("--prior-a", "nan"), ("--prior-b", "inf"), ("--tol", "nan")):
+        yield ["fit", "--votes", "ci-setup-2.csv", "--model", "ci", flag, value, "--out", "bad"]
     yield ["fit", "--votes", "ci-setup-2.csv", "--model", "nope", "--out", "bad"]
-    for model in cli.MODELS[:-1]:
-        yield ["predict", "--votes", "cw.csv", "--model-file", f"fit-{model}/model.json", "--out", "bad.csv"]
+    for model in cli.MODELS[:-1]:  # fitted on 6 judges, scored on 3
+        yield ["predict", "--votes", "shared-demo.csv", "--model-file", f"fit-{model}/model.json", "--out", "bad.csv"]
     yield ["predict", "--votes", "factor.csv", "--model-file", "factor.csv", "--out", "bad.csv"]
+    for name in MALFORMED_MODELS:
+        yield ["predict", "--votes", "ci-setup-2.csv", "--model-file", name, "--out", "bad.csv"]
     yield ["evaluate", "--votes", "unlabeled.csv"]
     yield ["evaluate", "--votes", "ci-setup-2.csv", "--trials", "0"]
     yield ["evaluate", "--votes", "ci-setup-2.csv", "--models", ", ,"]
@@ -103,6 +121,8 @@ def main() -> None:
             (root / "empty.csv").write_text("")
             (root / "ragged.csv").write_text("item,j1,j2\na,1,0\nb,1\n")
             (root / "unlabeled.csv").write_text("item,j1,j2\na,1,0\nb,0,0\nc,1,1\n")
+            for name, text in MALFORMED_MODELS.items():
+                (root / name).write_text(text)
             for args in commands():
                 before = _snapshot(root)
                 with warnings.catch_warnings(record=True) as caught:

@@ -64,6 +64,29 @@ class TestSimulate:
         assert "Invalid value" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("generator, args", [
+        ("ci-setup-1", ("--num-judges", "4")),
+        ("shared-demo", ("--beta0", "-3", "--lam", "5")),
+        ("cw", ("--a", "0.5")),
+        ("factor", ("--beta1", "2")),
+    ])
+    def test_flag_the_generator_does_not_read_exits_2(self, runner, tmp_path, generator, args):
+        out = tmp_path / "votes.csv"
+        res = runner.invoke(main, ["simulate", "--generator", generator, "--out", str(out), *args])
+        assert res.exit_code == 2, res.output
+        assert f"error: {args[0]} is not read by the {generator} generator" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generator, flags", [
+        ("cw", ("--num-judges", "--beta0", "--beta1", "--h0", "--c1", "--pi")),
+        ("factor", ("--num-judges", "--pi", "--a", "--b", "--lam", "--sigma2")),
+    ])
+    def test_every_flag_the_generator_reads_is_accepted(self, runner, tmp_path, generator, flags):
+        # Each flag given explicitly, at its default value.
+        defaults = {p.opts[0]: p.default for p in main.commands["simulate"].params}
+        args = [str(x) for flag in flags for x in (flag, defaults[flag])]
+        simulate(runner, tmp_path, generator=generator, n=20, extra=args)
+
 
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
 def test_em_flags_mirror_em_config(command):
@@ -103,6 +126,19 @@ class TestFit:
         res = runner.invoke(main, ["fit", "--votes", str(bad), "--model", "ci"])
         assert res.exit_code == 2
         assert "empty" in res.output
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--prior-a", "nan", "Beta prior parameters must be finite"),
+        ("--prior-b", "inf", "Beta prior parameters must be finite"),
+        ("--tol", "nan", "tol must be positive and finite"),
+    ])
+    def test_non_finite_em_flag_exits_2(self, runner, tmp_path, flag, value, message):
+        votes = simulate(runner, tmp_path, n=60)
+        out = tmp_path / "run"
+        res = runner.invoke(main, ["fit", "--votes", str(votes), "--model", "ci", "--out", str(out), flag, value])
+        assert res.exit_code == 2, res.output
+        assert f"error: {message}" in res.output
+        assert not (out / "posteriors.csv").exists()
 
     def test_beyond_cutoff_warns_and_succeeds(self, runner, tmp_path):
         votes = simulate(runner, tmp_path, generator="factor", n=40,
@@ -193,6 +229,26 @@ class TestPredict:
         assert res.exit_code == 2
         assert "fitted on 6 judges but the votes have 5" in res.output
         assert not (tmp_path / "pred.csv").exists()
+
+    @pytest.mark.parametrize("payload, message", [
+        ("[]", "model file must hold a JSON object"),
+        ("3", "model file must hold a JSON object"),
+        ('"x"', "model file must hold a JSON object"),
+        ('{"model": "factor", "pi": 0.5, "a": [1, 1, 1, 1, 1, 1], "b": [0, 0, 0, 0, 0, 0], "loadings": null}',
+         "model file field 'loadings' must be a number or a list of numbers"),
+        ('{"model": "ci", "pi": "0.5", "alpha": [0.7, 0.7, 0.7, 0.7, 0.7, 0.7], "beta": [0.7, 0.7, 0.7, 0.7, 0.7, 0.7]}',
+         "model file field 'pi' must be a number or a list of numbers"),
+    ], ids=["list", "number", "string", "factor-null-loadings", "ci-string-pi"])
+    def test_malformed_model_file_exits_2(self, runner, tmp_path, payload, message):
+        votes = simulate(runner, tmp_path, n=20)
+        model_file = tmp_path / "model.json"
+        model_file.write_text(payload)
+        pred = tmp_path / "pred.csv"
+        res = runner.invoke(main, ["predict", "--votes", str(votes), "--model-file", str(model_file),
+                                   "--out", str(pred)])
+        assert res.exit_code == 2, res.output
+        assert f"error: {message}" in res.output
+        assert not pred.exists()
 
 
 class TestEvaluate:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from judgeagg import (
+    PosteriorVector,
     SplitSpec,
     VoteDataError,
     VoteMatrix,
@@ -80,6 +81,12 @@ class TestLoadVotes:
                 assert np.array_equal(v.gold_labels, w.gold_labels)
             # byte-identity modulo line endings
             assert dumps_votes(v).replace("\r\n", "\n") == dumps_votes(w).replace("\r\n", "\n")
+
+
+@pytest.mark.parametrize("gamma", [[0.5, np.nan], [np.nan], [-0.1], [1.1]], ids=["nan-entry", "nan", "below", "above"])
+def test_posterior_vector_rejects_non_probabilities(gamma):
+    with pytest.raises(ValueError, match="probabilities"):
+        PosteriorVector(np.array(gamma))
 
 
 class TestVoteMatrix:

@@ -71,6 +71,23 @@ def test_class_prior_stays_inside_unit_interval():
     assert class_prior(np.array([1.0, 1.0]), np.array([2.0, 4.0])) == 0.25
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["tol", "prior_a", "prior_b"])
+def test_em_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        EMConfig(**{name: value})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CIParams(pi=np.nan, alpha=np.array([0.7]), beta=np.array([0.7])),
+    lambda: CIParams(pi=0.5, alpha=np.array([np.nan]), beta=np.array([0.7])),
+    lambda: MultiFactorParams(a=np.ones(2), b=np.zeros(2), loadings=None),
+], ids=["ci-nan-pi", "ci-nan-alpha", "factor-null-loadings"])
+def test_parameter_types_reject_malformed_values(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def _constant_votes(fill: int, n: int = 2000, k: int = 20) -> VoteMatrix:
     return VoteMatrix(votes=np.full((n, k), fill, dtype=np.int8),
                       item_ids=tuple(map(str, range(n))),

@@ -17,6 +17,7 @@ from judgeagg import (
     run_factor_separation,
     sample_factor,
 )
+from judgeagg import em, ising
 from judgeagg.factor import _quad_mean, factor_log_lik
 from judgeagg.reproduce import aligned_accuracy
 
@@ -286,3 +287,30 @@ class TestEmFitFactor:
             fit = em_fit_factor(v, 1, EMConfig(seed=seed))
             steps = np.diff(fit.trace.objective)
             assert steps.min(initial=0.0) >= -1e-6
+
+    def test_msteps_are_em_minimize_solves_at_the_gradient_stop(self, monkeypatch):
+        # Each M-step is one em.minimize solve over all judges' (a, b, lam),
+        # run to its gradient stop; none goes through the name the Ising
+        # pseudo-likelihood trace wraps.
+        solves, ising_solves = [], []
+        solve = em.minimize
+
+        def recording(fun, x0):
+            res = solve(fun, x0)
+            f, g, _ = fun(res.x)
+            solves.append((res, f, np.max(np.abs(g))))
+            return res
+
+        def ising_recording(fun, x0):
+            ising_solves.append(x0)
+            return solve(fun, x0)
+
+        monkeypatch.setattr(em, "minimize", recording)
+        monkeypatch.setattr(ising, "minimize", ising_recording)
+        v = sample_factor(FactorParams(pi=0.6, a=0.8, b=0.2, lam=1.0, sigma2_z=1.0), 6, 400, 2)
+        fit = em_fit_factor(v, 1, EMConfig(seed=0))
+        assert len(solves) >= fit.trace.n_iters
+        assert ising_solves == []
+        for res, f, gmax in solves:
+            assert res.success and res.nfev >= 1 and res.fun == f and res.x.shape == (3 * v.k,)
+            assert gmax <= 1e-9 * (1.0 + abs(f))

@@ -19,12 +19,14 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # Tolerance (relative and absolute) on posteriors and parameters per family,
 # for changes that reorder floating-point sums. CI updates are closed form.
-# The factor M-step's Newton solves amplify rounding more, and some factor
-# parameters are large (|a_j| > 7). Each Ising M-step is a damped Newton
-# solve run to a gradient stop of 1e-9 * (1 + |objective|), from which
-# Newton's quadratic convergence leaves it far closer to the optimum, so
-# rounding cannot move the fit by a whole solver step: summing the Hessian
-# in chunks moved every Ising case by at most 5e-15.
+# Each Ising M-step is a damped Newton solve (em.minimize) run to a gradient
+# stop of 1e-9 * (1 + |objective|), from which Newton's quadratic
+# convergence leaves it far closer to the optimum, so rounding cannot move
+# the fit by a whole solver step: summing the Hessian in chunks moved every
+# Ising case by at most 5e-15. The factor M-step is one such solve over all
+# judges' (a, b, lam), but a factor fit chains 69-117 of them through
+# quadrature scores, and some factor parameters are large (|a_j| > 7), so
+# its tolerance is kept at the looser 1e-8.
 TOL = {"ci": 1e-9, "ising-shared": 1e-8, "ising-classdep": 1e-8, "factor": 1e-8}
 
 

@@ -26,7 +26,7 @@ from judgeagg import (
     sample_ising,
     wmv_predict,
 )
-from judgeagg import ising, presets
+from judgeagg import em, ising, presets
 from judgeagg.curie_weiss import CWClassSpec, CWExperimentSpec, sample_labeled_cw
 from judgeagg.data import rng_from
 from judgeagg.em import predict
@@ -413,7 +413,7 @@ class TestFitPseudo:
             return cut[-1]
 
         monkeypatch.setattr(ising, "minimize", recording)
-        monkeypatch.setattr(ising, "_NEWTON_MAX_STEPS", 1)
+        monkeypatch.setattr(em, "_NEWTON_MAX_STEPS", 1)
         with pytest.raises(ising.PseudoFitError, match="step cap") as err:
             fit_pseudo(votes, np.ones(200))
         (res,) = cut
