@@ -22,9 +22,9 @@ from .data import (SplitSpec, VoteDataError, VoteMatrix, accuracy, load_votes, r
                    simulated_votes, split, write_csv_rows)
 from .em import EMConfig, EMFit, EMTrace
 
-# The Ising, factor and Curie-Weiss modules (and scipy.optimize with the
-# last), presets and reproduce are imported by the commands and models that
-# use them (see _MODELS), so a CI fit or prediction never loads them.
+# The Ising, factor and Curie-Weiss modules, presets and reproduce are
+# imported by the commands and models that use them (see _MODELS), so a CI
+# fit or prediction never loads them.
 
 # The keys of reproduce.REPRODUCE_TARGETS, sorted; a test keeps them equal.
 REPRODUCE_NAMES = ("ci-setups", "cw-separation-thm31", "cw-separation-thm32", "factor-separation",
@@ -135,11 +135,12 @@ def fit(votes_path, model, out, seed, **em_flags):
     """Fit a model by unsupervised EM and write posteriors plus a report."""
     try:
         v = load_votes(votes_path)
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
         config = EMConfig(seed=seed, **em_flags)
         fit_model, to_payload, _ = _MODELS[model]()
         fitres = fit_model(v, config)
+        # Created only now, so a rejected input or a failed fit leaves no directory behind.
+        outdir = Path(out)
+        outdir.mkdir(parents=True, exist_ok=True)
         payload = to_payload(fitres.params)
         trace_lines = [
             f"iter {i}: objective={obj:.6f} loglik={ll:.6f}"

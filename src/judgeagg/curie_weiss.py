@@ -7,13 +7,13 @@ exact marginals, and exact tail computations without any MCMC.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expit, gammaln, logsumexp
 
 from .data import rng_from, separation_row
+from .em import expit, logsumexp
 
 
 def magnetization_support(k: int) -> np.ndarray:
@@ -29,12 +29,9 @@ def magnetization_log_pmf(k: int, beta: float, h: float) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("K must be >= 1")
-    r = np.arange(k + 1)
+    log_fact = np.array([math.lgamma(r + 1) for r in range(k + 1)])  # log r!, r = 0..K
     m = magnetization_support(k)
-    logw = (
-        gammaln(k + 1) - gammaln(r + 1) - gammaln(k - r + 1)
-        + 0.5 * beta * k * m ** 2 + h * k * m
-    )
+    logw = log_fact[k] - log_fact - log_fact[::-1] + 0.5 * beta * k * m ** 2 + h * k * m
     return logw - logsumexp(logw)
 
 
@@ -58,6 +55,21 @@ def sample_cw(k: int, beta: float, h: float, n: int, seed: int) -> np.ndarray:
     return spins.astype(np.int8)
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi], where f(lo) and f(hi) differ in sign, by bisection to a 1e-14 bracket."""
+    lo_negative = f(lo) < 0
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid < 0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def solve_mean_field(beta: float, h: float = 0.0) -> list[float]:
     """All solutions of m = tanh(beta*m + h) in (-1, 1), to 1e-12.
 
@@ -79,7 +91,7 @@ def solve_mean_field(beta: float, h: float = 0.0) -> list[float]:
         if a == 0.0:
             roots.append(grid[i])
         elif a * b < 0:
-            roots.append(brentq(f, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16))
+            roots.append(_bisect(f, grid[i], grid[i + 1]))
     if vals[-1] == 0.0:
         roots.append(grid[-1])
     dedup: list[float] = []
@@ -93,7 +105,7 @@ def positive_root(beta: float) -> float:
     """The unique positive solution of m = tanh(beta*m), for beta > 1."""
     if beta <= 1:
         raise ValueError("positive root exists only for beta > 1")
-    return float(brentq(lambda m: np.tanh(beta * m) - m, 1e-9, 1 - 1e-15, xtol=1e-14))
+    return float(_bisect(lambda m: np.tanh(beta * m) - m, 1e-9, 1 - 1e-15))
 
 
 def magnetization_classifier(spins, t: float, mode: str = "absolute"):

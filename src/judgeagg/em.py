@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .data import PosteriorVector, VoteDataError, VoteMatrix, rng_from, vote_patterns
 
@@ -139,6 +138,31 @@ def resolve_flip(weight_sum: float, pi: float) -> bool:
     if abs(weight_sum) >= ANCHOR_TOL:
         return weight_sum < 0
     return pi < 0.5
+
+
+def expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)), elementwise, with no overflow at any input.
+
+    With e = exp(-|x|) in [0, 1], it is 1 / (1 + e) for x >= 0 and
+    e / (1 + e) otherwise, so 0 and 1 are reached only at -inf and +inf.
+    """
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (all entries by default), shifted by the maximum.
+
+    Every shifted term is at most 1, so none overflows. A slice whose maximum
+    is not finite is not shifted: all -inf gives -inf, a +inf gives +inf.
+    """
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        total = np.log(np.exp(a - top).sum(axis=axis))
+    return total + np.squeeze(top, axis=axis)
 
 
 def relative_change(new: float, old: float) -> float:

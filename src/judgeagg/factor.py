@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from . import em
 from .ci import em_fit_ci
 from .data import VoteMatrix, rng_from, separation_row, simulated_votes
-from .em import EMConfig, EMFit, judge_weights
+from .em import EMConfig, EMFit, expit, judge_weights, logsumexp
 
 QUAD_NODES = 61
 
@@ -73,6 +72,9 @@ class MultiFactorParams:
             raise ValueError("need K-vectors a, b and a (K, r>=1) loading matrix")
         if not (0.0 < self.pi < 1.0):
             raise ValueError("pi must lie strictly inside (0,1)")
+        for name, value in (("a", a), ("b", b), ("loadings", lo)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "loadings", lo)

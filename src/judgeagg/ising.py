@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
-from scipy.special import expit
 
 from . import em
 from .ci import CIParams, em_fit_ci
 from .data import VoteMatrix, rng_from, simulated_votes
-from .em import INIT_STRATEGIES, PI_EPS, EMConfig, EMFit, minimize
+from .em import INIT_STRATEGIES, PI_EPS, EMConfig, EMFit, expit, logsumexp, minimize
 
 K_MAX_EXACT = 15
 
@@ -70,10 +69,12 @@ class IsingParams:
     def __post_init__(self):
         if not (0.0 < self.pi < 1.0):
             raise ValueError("pi must lie strictly inside (0,1)")
-        h0 = np.asarray(self.h0, dtype=float)
-        h1 = np.asarray(self.h1, dtype=float)
-        w0 = _check_coupling(self.W0, "W0")
-        w1 = _check_coupling(self.W1, "W1")
+        h0, h1, w0, w1 = (np.asarray(x, dtype=float) for x in (self.h0, self.h1, self.W0, self.W1))
+        for name, value in (("h0", h0), ("h1", h1), ("W0", w0), ("W1", w1)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+        w0 = _check_coupling(w0, "W0")
+        w1 = _check_coupling(w1, "W1")
         k = len(h0)
         if h1.shape != (k,) or w0.shape != (k, k) or w1.shape != (k, k):
             raise ValueError("h0, h1, W0, W1 must agree on K")
@@ -185,9 +186,7 @@ def log_partition(h, W) -> float:
     ca, cb = _configs(m), _configs(k - m)
     ea = _energies(ca, h[:m], W[:m, :m])
     eb = _energies(cb, h[m:], W[m:, m:])
-    e = ea[:, None] + eb[None, :] + (ca @ W[:m, m:]) @ cb.T
-    top = e.max()
-    return float(top + np.log(np.exp(e - top).sum()))
+    return float(logsumexp(ea[:, None] + eb[None, :] + (ca @ W[:m, m:]) @ cb.T))
 
 
 def exact_evidence(p: IsingParams) -> ExactEvidence:

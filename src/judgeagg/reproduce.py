@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import presets
 from .ci import ci_log_odds, em_fit_ci, sample_ci, umv_predict
 from .curie_weiss import positive_root, run_separation, true_marginals
 from .data import accuracy, rng_from
-from .em import EMConfig
+from .em import EMConfig, expit
 from .factor import run_factor_separation
 from .ising import (
     all_configs,

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -131,6 +132,7 @@ class TestFit:
         ("--prior-a", "nan", "Beta prior parameters must be finite"),
         ("--prior-b", "inf", "Beta prior parameters must be finite"),
         ("--tol", "nan", "tol must be positive and finite"),
+        ("--prior-a", "0.5", "Beta prior parameters must be finite and >= 1"),
     ])
     def test_non_finite_em_flag_exits_2(self, runner, tmp_path, flag, value, message):
         votes = simulate(runner, tmp_path, n=60)
@@ -138,7 +140,7 @@ class TestFit:
         res = runner.invoke(main, ["fit", "--votes", str(votes), "--model", "ci", "--out", str(out), flag, value])
         assert res.exit_code == 2, res.output
         assert f"error: {message}" in res.output
-        assert not (out / "posteriors.csv").exists()
+        assert not out.exists()  # no empty output directory is left behind
 
     def test_beyond_cutoff_warns_and_succeeds(self, runner, tmp_path):
         votes = simulate(runner, tmp_path, generator="factor", n=40,
@@ -238,7 +240,12 @@ class TestPredict:
          "model file field 'loadings' must be a number or a list of numbers"),
         ('{"model": "ci", "pi": "0.5", "alpha": [0.7, 0.7, 0.7, 0.7, 0.7, 0.7], "beta": [0.7, 0.7, 0.7, 0.7, 0.7, 0.7]}',
          "model file field 'pi' must be a number or a list of numbers"),
-    ], ids=["list", "number", "string", "factor-null-loadings", "ci-string-pi"])
+        ('{"model": "factor", "pi": 0.5, "a": [NaN, 1, 1, 1, 1, 1], "b": [0, 0, 0, 0, 0, 0], '
+         '"loadings": [[1], [1], [1], [1], [1], [1]]}', "a must be finite"),
+        (json.dumps({"mode": "class_dependent", "pi": 0.5, "h0": [float("inf")] + [0.0] * 5, "h1": [0.0] * 6,
+                     "W0": [[0.0] * 6] * 6, "W1": [[0.0] * 6] * 6}), "h0 must be finite"),
+    ], ids=["list", "number", "string", "factor-null-loadings", "ci-string-pi", "factor-nan-a", "ising-inf-h0"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_model_file_exits_2(self, runner, tmp_path, payload, message):
         votes = simulate(runner, tmp_path, n=20)
         model_file = tmp_path / "model.json"
@@ -353,8 +360,8 @@ for step, args in json.loads(sys.argv[1]).items():
 print(json.dumps(loaded))
 """
 
-OPTIONAL_MODULES = {"scipy.optimize", "judgeagg.ising", "judgeagg.factor", "judgeagg.curie_weiss",
-                    "judgeagg.reproduce", "judgeagg.presets"}
+OPTIONAL_MODULES = {"judgeagg.ising", "judgeagg.factor", "judgeagg.curie_weiss", "judgeagg.reproduce",
+                    "judgeagg.presets"}
 
 
 def cold_run(tmp_path, steps: dict[str, list[str]]) -> dict[str, set[str]]:
@@ -367,7 +374,10 @@ def cold_run(tmp_path, steps: dict[str, list[str]]) -> dict[str, set[str]]:
     res = subprocess.run([sys.executable, "-c", COLD_RUN, json.dumps(steps)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
-    return {step: set(mods) for step, mods in json.loads(res.stdout.splitlines()[-1]).items()}
+    loaded = {step: set(mods) for step, mods in json.loads(res.stdout.splitlines()[-1]).items()}
+    for step, mods in loaded.items():
+        assert not [m for m in mods if m.split(".")[0] == "scipy"], step  # the package never imports scipy
+    return loaded
 
 
 def test_ci_fit_and_predict_skip_the_dependence_models(tmp_path):
@@ -389,3 +399,34 @@ def test_ising_fits_skip_scipy_optimize(tmp_path):
     for model in ("ising-classdep", "ising-shared"):
         assert "judgeagg.ising" in loaded[model], model
         assert not loaded[model] & (OPTIONAL_MODULES - {"judgeagg.ising"}), model
+
+
+# Runs the script named by argv[1] as __main__ in an interpreter that refuses every scipy import.
+NO_SCIPY_RUN = """
+import runpy, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+runpy.run_path(sys.argv[1], run_name="__main__")
+"""
+
+
+def test_cli_fingerprint_is_the_same_without_scipy():
+    script = Path(__file__).parent / "golden" / "cli_fingerprint.py"
+    spec = importlib.util.spec_from_file_location("cli_fingerprint", script)
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+    procs = [subprocess.Popen([sys.executable, *args, str(script)], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env)
+             for args in (["-c", NO_SCIPY_RUN], [])]
+    (blocked, blocked_err), (plain, plain_err) = (p.communicate(timeout=600) for p in procs)
+    assert procs[0].returncode == 0, blocked_err
+    assert procs[1].returncode == 0, plain_err
+    assert len(blocked.splitlines()) == len(list(fingerprint.commands()))
+    assert blocked == plain

@@ -13,6 +13,7 @@ from judgeagg import (
     solve_mean_field,
     true_marginals,
 )
+from judgeagg import presets
 from judgeagg.curie_weiss import magnetization_support, marginal_limit, positive_root
 
 
@@ -108,6 +109,44 @@ class TestMeanField:
         for beta, h in ((0.5, 0.0), (2.0, 0.0), (0.5, -0.5), (3.0, 0.2)):
             for m in solve_mean_field(beta, h):
                 assert abs(m - np.tanh(beta * m + h)) <= 1e-12
+
+
+class TestScipyReference:
+    """The pmf and the mean-field roots against scipy's gammaln and brentq, the independent references."""
+
+    CW_LAWS = [spec.class0 for spec in (presets.CW_SYMMETRIC, presets.CW_INFORMATIVE)] + [
+        spec.class1 for spec in (presets.CW_SYMMETRIC, presets.CW_INFORMATIVE)]
+
+    @pytest.mark.parametrize("k", sorted({*presets.CW_SYMMETRIC.k_grid, *presets.CW_INFORMATIVE.k_grid, 40_000}))
+    def test_log_pmf_matches_gammaln(self, k):
+        from scipy.special import gammaln, logsumexp
+
+        r = np.arange(k + 1)
+        m = magnetization_support(k)
+        for law in self.CW_LAWS:
+            beta, h = law.beta, law.field_at(k)
+            logw = gammaln(k + 1) - gammaln(r + 1) - gammaln(k - r + 1) + 0.5 * beta * k * m ** 2 + h * k * m
+            np.testing.assert_allclose(magnetization_log_pmf(k, beta, h), logw - logsumexp(logw),
+                                       rtol=0, atol=1e-9, err_msg=f"beta={beta} h={h}")
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9, 1.1, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("h", [0.0, 0.1, -0.1])
+    def test_mean_field_roots_match_brentq(self, beta, h):
+        from scipy.optimize import brentq
+
+        def f(m):
+            return np.tanh(beta * m + h) - m
+
+        grid = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001)
+        vals = f(grid)
+        want = [grid[i] if vals[i] == 0.0 else brentq(f, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
+                for i in range(len(grid) - 1) if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0]
+        got = solve_mean_field(beta, h)
+        assert len(got) == len(want) >= 1
+        np.testing.assert_allclose(got, want, rtol=0, atol=2e-14)
+        if beta > 1 and h == 0.0:
+            want_root = brentq(lambda m: np.tanh(beta * m) - m, 1e-9, 1 - 1e-15, xtol=1e-14)
+            assert abs(positive_root(beta) - want_root) <= 2e-14
 
 
 class TestClassifier:

@@ -88,6 +88,83 @@ def test_parameter_types_reject_malformed_values(make):
         make()
 
 
+def _ising(**fields):
+    k = 3
+    return IsingParams(**{"pi": 0.5, "h0": np.zeros(k), "h1": np.zeros(k), "W0": np.zeros((k, k)),
+                          "W1": np.zeros((k, k)), **fields})
+
+
+def _factor(**fields):
+    return MultiFactorParams(**{"a": np.ones(3), "b": np.zeros(3), "loadings": np.ones(3), **fields})
+
+
+def _with(value, shape=(3,)):
+    """Zeros with one entry set to ``value``; a matrix gets it at (0, 1) and (1, 0), so it stays symmetric."""
+    x = np.zeros(shape)
+    x.flat[1] = value
+    return x if x.ndim == 1 else x + x.T
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: _ising(h0=_with(v)), "h0"),
+    (lambda v: _ising(h1=_with(v)), "h1"),
+    (lambda v: _ising(W0=_with(v, (3, 3))), "W0"),
+    (lambda v: _ising(W1=_with(v, (3, 3))), "W1"),
+    (lambda v: _factor(a=_with(v)), "a"),
+    (lambda v: _factor(b=_with(v)), "b"),
+    (lambda v: _factor(loadings=_with(v)), "loadings"),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_parameter_types_reject_non_finite_fields(make, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        make(value)
+
+
+class TestSpecialFunctionsMatchScipy:
+    """em.expit and em.logsumexp against scipy.special, the independent reference."""
+
+    def test_expit_within_4_ulp_and_warning_free(self):
+        from scipy.special import expit as reference
+
+        rng = np.random.default_rng(5)
+        x = np.concatenate([[0.0, -0.0, 40.0, -40.0, 745.0, -745.0, np.inf, -np.inf],
+                            rng.uniform(-750.0, 750.0, 200_000), rng.normal(0.0, 5.0, 200_000),
+                            np.linspace(-40.0, 40.0, 100_001)])
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            got = em.expit(x)
+        want = reference(x)
+        normal = want >= np.finfo(float).tiny
+        assert np.all(np.abs(got - want)[normal] <= 4 * np.spacing(want[normal]))
+        # Below the normal range both are 0 or subnormal.
+        assert np.all(got[~normal] < np.finfo(float).tiny)
+        assert got[:2].tolist() == [0.5, 0.5] and got[6] == 1.0 and got[7] == 0.0
+        assert not np.signbit(got).any()
+
+    def test_expit_keeps_shape_and_scalars(self):
+        assert em.expit(np.zeros((2, 3))).shape == (2, 3)
+        assert isinstance(em.expit(0.25), float)
+
+    def test_logsumexp_within_1e_13(self):
+        from scipy.special import logsumexp as reference
+
+        rng = np.random.default_rng(6)
+        one_d = rng.normal(0.0, 30.0, 61)
+        two_d = rng.normal(0.0, 30.0, (40, 61))
+        two_d[3] = -np.inf
+        two_d[:, 5] = -np.inf
+        cases = [(one_d, None), (one_d, 0), (two_d, None), (two_d, 0), (two_d, 1), (two_d, -1)]
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            got = [em.logsumexp(a, axis=axis) for a, axis in cases]
+        for g, (a, axis) in zip(got, cases):
+            want = reference(a, axis=axis)
+            assert np.shape(g) == np.shape(want)
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-13)
+        assert got[4][3] == -np.inf  # the all -inf row
+        assert em.logsumexp(np.array([1.0, np.inf])) == np.inf
+
+
 def _constant_votes(fill: int, n: int = 2000, k: int = 20) -> VoteMatrix:
     return VoteMatrix(votes=np.full((n, k), fill, dtype=np.int8),
                       item_ids=tuple(map(str, range(n))),

@@ -1,8 +1,10 @@
-"""The package's public names: a fixed list, each loaded on first use."""
+"""The package's public names: a fixed list, each loaded on first use; its runtime needs only numpy and click."""
 
+import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,3 +109,30 @@ def test_fits_call_em_fit_ci_through_their_own_module(monkeypatch, tmp_path):
     res = CliRunner().invoke(cli.main, ["fit", "--votes", str(path), "--model", "ci", "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert calls[2:] == ["judgeagg.cli"]
+
+
+RUNTIME_DEPENDENCIES = {"numpy", "click"}
+ROOT = Path(judgeagg.__file__).resolve().parents[2]
+
+
+def test_runtime_dependencies_are_numpy_and_click():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = {re.split(r"[<>=!~\[; ]", req, maxsplit=1)[0].lower() for req in project["dependencies"]}
+    assert names == RUNTIME_DEPENDENCIES
+
+
+def test_package_imports_only_stdlib_numpy_and_click():
+    allowed = set(sys.stdlib_module_names) | RUNTIME_DEPENDENCIES | {"judgeagg"}
+    sources = sorted((ROOT / "src" / "judgeagg").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
