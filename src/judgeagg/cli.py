@@ -41,12 +41,17 @@ def _json_dumps(payload: dict) -> str:
 
 
 def _write_posteriors(path: Path, v: VoteMatrix, gamma: np.ndarray) -> None:
-    # A posterior is a function of the vote pattern, so few values repeat;
-    # they are keyed by their bits, as repr tells -0.0 from 0.0.
-    bits, keys = np.unique(np.asarray(gamma, dtype=float).view(np.int64), return_inverse=True)
-    tails = [f",{g!r},{int(g >= 0.5)}\n" for g in bits.view(float).tolist()]
+    gamma = np.asarray(gamma, dtype=float)
+
+    def tails(start, stop):
+        # A posterior is a function of the vote pattern, so few values repeat
+        # in a chunk; they are keyed by their bits, as repr tells -0.0 from 0.0.
+        bits, keys = np.unique(gamma[start:stop].view(np.int64), return_inverse=True)
+        text = [f",{g!r},{int(g >= 0.5)}\n" for g in bits.view(float).tolist()]
+        return map(text.__getitem__, keys.tolist())
+
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        write_csv_rows(fh, ["item", "gamma", "label"], v.item_ids, keys, tails)
+        write_csv_rows(fh, ["item", "gamma", "label"], v.item_ids, tails)
 
 
 def _ci_model():

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -47,7 +48,7 @@ class VoteMatrix:
         votes = np.asarray(self.votes)
         if votes.ndim != 2 or votes.shape[0] < 1 or votes.shape[1] < 1:
             raise VoteDataError(f"votes must be a non-empty 2-D matrix, got shape {votes.shape}")
-        if not ((votes == 0) | (votes == 1)).all():
+        if not _is_binary(votes):
             raise VoteDataError("votes must contain only 0/1 entries")
         votes = votes.astype(np.int8, copy=False)
         object.__setattr__(self, "votes", votes)
@@ -63,7 +64,7 @@ class VoteMatrix:
             gold = np.asarray(self.gold_labels)
             if gold.shape != (votes.shape[0],):
                 raise VoteDataError("gold_labels must be a length-n vector")
-            if not ((gold == 0) | (gold == 1)).all():
+            if not _is_binary(gold):
                 raise VoteDataError("gold_labels must contain only 0/1 entries")
             object.__setattr__(self, "gold_labels", gold.astype(np.int8, copy=False))
 
@@ -94,6 +95,13 @@ class VoteMatrix:
             judge_names=tuple(self.judge_names[c] for c in cols),
             gold_labels=self.gold_labels,
         )
+
+
+def _is_binary(a: np.ndarray) -> bool:
+    """Every entry is 0 or 1; integers are checked by their range, with no n x K temporary."""
+    if a.dtype.kind in "biu":
+        return bool(a.min() >= 0 and a.max() <= 1)
+    return bool(((a == 0) | (a == 1)).all())
 
 
 def simulated_votes(votes: np.ndarray, gold: np.ndarray) -> VoteMatrix:
@@ -139,40 +147,42 @@ def load_votes(path: str) -> VoteMatrix:
     Cells must be exactly 0 or 1. A trailing column named ``label`` is parsed
     as gold labels. Errors name the offending row and column.
 
-    Plain files are parsed by a vectorized byte-level reader; quoted or CRLF
-    files, and every malformed one, go row by row through ``csv.reader``.
+    Plain files are parsed by a vectorized byte-level reader that reads one
+    line-aligned block of about ``_BLOCK_BYTES`` at a time, so it never holds
+    the whole file: beside the result it keeps each block's cells (one byte
+    per cell) and id list until they are joined. Quoted or CRLF files, and
+    every malformed one, are read whole and go row by row through
+    ``csv.reader``.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    v = _parse_votes_fast(raw)
-    if v is None:
-        v = _parse_votes(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""), path)
+        v = _parse_votes_fast(fh)
+        if v is None:
+            fh.seek(0)
+            v = _parse_votes(io.TextIOWrapper(io.BytesIO(fh.read()), encoding="utf-8", newline=""), path)
     return v
 
 
-def _parse_votes_fast(raw: bytes) -> VoteMatrix | None:
-    """The :func:`_parse_votes` result for a plain vote CSV, or None.
+# The fast parser reads line-aligned blocks of about this many bytes.
+_BLOCK_BYTES = 1 << 20
+
+
+def _parse_votes_fast(fh) -> VoteMatrix | None:
+    """The :func:`_parse_votes` result for a plain vote CSV read from binary file ``fh``, or None.
 
     Accepts only input that ``csv.reader`` provably splits on commas and
     newlines alone: valid UTF-8 with no quote, CR or NUL, no line as long as
     the csv field limit, a well-formed header of width w, and every non-blank
-    line ending in exactly w - 1 cells ``,0`` or ``,1`` after an id. The file's
-    comma count must then equal rows * (w - 1), so no id holds a comma. Any
-    other input, malformed or merely unusual, returns None and is left to
-    :func:`_parse_votes`, the only source of error messages.
+    line ending in exactly w - 1 cells ``,0`` or ``,1`` after an id. Each
+    block's comma count must then equal its rows * (w - 1), so no id holds a
+    comma. Any other input, malformed or merely unusual, returns None and is
+    left to :func:`_parse_votes`, the only source of error messages.
     """
-    # 0xFF never occurs in UTF-8, so it can mark the bytes that are not ids.
-    if any(c in raw for c in (b'"', b"\r", b"\0", b"\xff")):
+    limit = csv.field_size_limit()
+    line = fh.readline()
+    if not line.endswith(b"\n") or len(line) > limit or not _plain(line):
         return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))  # ends[0] closes the header
-    if not raw.endswith(b"\n"):
-        ends = np.append(ends, len(raw))
-    if len(ends) < 2:
-        return None
-    header_end = int(ends[0])
     try:
-        header = raw[:header_end].decode("utf-8").split(",")
+        header = line[:-1].decode("utf-8").split(",")
     except UnicodeDecodeError:
         return None
     if len(header) < 2 or header[0] != "item":
@@ -181,47 +191,75 @@ def _parse_votes_fast(raw: bytes) -> VoteMatrix | None:
     judges = header[1:-1] if has_gold else header[1:]
     if not judges:
         return None
-    n_cells = len(header) - 1
-    lengths = np.diff(ends) - 1
-    blank = ends[1:][lengths == 0]  # csv.reader yields [] for a blank line; both parsers skip it
-    ends = ends[1:][lengths > 0]
-    lengths = lengths[lengths > 0]
-    if (len(ends) == 0 or max(header_end, lengths.max()) >= csv.field_size_limit()
-            or raw.count(b",", header_end) != len(ends) * n_cells):
+    cells, ids = [], []
+    while block := fh.read(_BLOCK_BYTES):
+        block = bytearray(block)
+        block += fh.readline()  # to the end of the line
+        parsed = _parse_block(block, len(header) - 1, limit)
+        if parsed is None:
+            return None
+        cells.append(parsed[0])
+        ids.append(parsed[1])
+    n = sum(map(len, ids))
+    if n == 0:
         return None
-    marked = bytearray(raw)
-    mark = np.frombuffer(marked, dtype=np.uint8)
-    mark[:header_end + 1] = 0xFF
-    mark[blank] = 0xFF
+    k = len(judges)
+    votes = np.concatenate([c[:k].T for c in cells], out=np.empty((n, k), dtype=np.int8))
+    gold = np.concatenate([c[-1] for c in cells]) if has_gold else None
+    del cells  # before the ids are joined, the other large step
+    return VoteMatrix(votes=votes, item_ids=tuple(itertools.chain.from_iterable(ids)),
+                      judge_names=tuple(judges), gold_labels=gold)
+
+
+def _plain(raw) -> bool:
+    # 0xFF never occurs in UTF-8, so it can mark the bytes that are not ids.
+    return not any(c in raw for c in (b'"', b"\r", b"\0", b"\xff"))
+
+
+def _parse_block(block: bytearray, n_cells: int, limit: int) -> tuple[np.ndarray, list[str]] | None:
+    """The cells (``n_cells`` x lines, int8) and ids of a block of whole lines, or None.
+
+    None unless every non-blank line is ``<id>,<c>,...,<c>`` with ``n_cells``
+    cells 0 or 1 and the ids are UTF-8 (see :func:`_parse_votes_fast`).
+    ``block`` is overwritten.
+    """
+    if not _plain(block):
+        return None
+    terminated = block.endswith(b"\n")
+    buf = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not terminated:
+        ends = np.append(ends, len(block))
+    lengths = np.diff(ends, prepend=-1) - 1
+    # csv.reader yields [] for a blank line; both parsers skip it.
+    buf[ends[lengths == 0]] = 0xFF
+    ends, lengths = ends[lengths > 0], lengths[lengths > 0]
+    if block.count(b",") != len(ends) * n_cells:
+        return None
+    # A line shorter than its cells would reach into the line before it.
+    if len(ends) and (lengths.max() >= limit or lengths.min() < 2 * n_cells):
+        return None
     cells = np.empty((n_cells, len(ends)), dtype=np.uint8)
-    # The first cell's comma on each line. Every byte from there to the line
-    # end is checked, so on a line shorter than its cells the newline before
-    # it (or, for the first line, the header's) fails the check.
-    at = ends - 2 * n_cells
+    at = ends - 2 * n_cells  # the first cell's comma on each line
     for j in range(n_cells):
         if (buf[at] != ord(",")).any():
             return None
-        mark[at] = 0xFF
+        buf[at] = 0xFF
         at += 1
         cells[j] = buf[at] - ord("0")
-        mark[at] = 0xFF
+        buf[at] = 0xFF
         at += 1
-    if cells.max() > 1:
+    if len(ends) and cells.max() > 1:
         return None
     # What is left is each id followed by its line's newline (none after an
     # unterminated last line).
     try:
-        ids = marked.translate(None, b"\xff").decode("utf-8").split("\n")
+        ids = block.translate(None, b"\xff").decode("utf-8").split("\n")
     except UnicodeDecodeError:
         return None
-    if raw.endswith(b"\n"):
+    if terminated:
         ids.pop()
-    return VoteMatrix(
-        votes=np.ascontiguousarray(cells[:len(judges)].T).view(np.int8),
-        item_ids=tuple(ids),
-        judge_names=tuple(judges),
-        gold_labels=cells[-1].copy().view(np.int8) if has_gold else None,
-    )
+    return cells.view(np.int8), ids
 
 
 def _parse_votes(fh, name: str) -> VoteMatrix:
@@ -282,7 +320,7 @@ def _write_votes(fh, v: VoteMatrix) -> None:
     patterns, _, inverse = vote_patterns(cells)
     tails = ["," + ",".join(map(str, row)) + "\n" for row in patterns.astype(np.int8).tolist()]
     header = ["item", *v.judge_names] + (["label"] if v.gold_labels is not None else [])
-    write_csv_rows(fh, header, v.item_ids, inverse, tails)
+    write_csv_rows(fh, header, v.item_ids, lambda start, stop: map(tails.__getitem__, inverse[start:stop].tolist()))
 
 
 # Characters that can make csv.writer quote a field; ids holding any of them
@@ -291,15 +329,17 @@ _NEEDS_QUOTING = re.compile(r'[,"\r\n]')
 _CHUNK_ROWS = 1 << 16
 
 
-def write_csv_rows(fh, header: list[str], ids, keys: np.ndarray, tails: list[str]) -> None:
-    """Write ``header``, then the row ``ids[i] + tails[keys[i]]`` for each item i.
+def write_csv_rows(fh, header: list[str], ids, tails) -> None:
+    """Write ``header``, then the row ``ids[i] + tail`` for each item i.
 
-    Each row reads as ``csv.writer(lineterminator="\\r\\n")`` formats
-    ``[ids[i], *cells]``, with the final ``\\r\\n`` written as ``\\n``, given
-    tails ``",<cell>,...,<cell>\\n"`` whose cells need no quoting: a field
-    holding a comma, quote, CR or LF is quoted, so any id or judge name reads
-    back intact. Each distinct tail is formatted once by the caller; ids that
-    need quoting go through csv.writer itself.
+    ``tails(start, stop)`` gives the tails of rows ``start..stop-1``; it is
+    called once per chunk of ``_CHUNK_ROWS`` rows, so a caller can format
+    each distinct tail of a chunk once and hold no n-sized table. Each row
+    reads as ``csv.writer(lineterminator="\\r\\n")`` formats ``[ids[i],
+    *cells]``, with the final ``\\r\\n`` written as ``\\n``, given tails
+    ``",<cell>,...,<cell>\\n"`` whose cells need no quoting: a field holding a
+    comma, quote, CR or LF is quoted, so any id or judge name reads back
+    intact. Ids that need quoting go through csv.writer itself.
     """
     fh.write(_csv_line(header))
     for start in range(0, len(ids), _CHUNK_ROWS):
@@ -308,7 +348,7 @@ def write_csv_rows(fh, header: list[str], ids, keys: np.ndarray, tails: list[str
             chunk = [_csv_line([i])[:-1] if _NEEDS_QUOTING.search(i) else i for i in chunk]
         rows = [""] * (2 * len(chunk))
         rows[::2] = chunk
-        rows[1::2] = map(tails.__getitem__, keys[start:start + _CHUNK_ROWS].tolist())
+        rows[1::2] = tails(start, start + len(chunk))
         fh.write("".join(rows))
 
 
@@ -337,8 +377,12 @@ def vote_patterns(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     votes = np.asarray(votes)
     k = votes.shape[1]
     if k <= _INT_KEY_MAX_K:
+        # Shift-or one column at a time: no n x K integer temporary.
+        keys = np.zeros(len(votes), dtype=np.int64)
+        for j in range(k):
+            keys <<= 1
+            keys |= votes[:, j] != 0
         bits = 1 << np.arange(k - 1, -1, -1)
-        keys = (votes != 0) @ bits
         counts = np.bincount(keys, minlength=1 << k)
         present = counts > 0
         codes = np.flatnonzero(present)

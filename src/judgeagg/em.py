@@ -100,16 +100,17 @@ def init_gamma(votes: np.ndarray, seed: int, strategy: str = "majority", stream:
     majority: per-item vote fraction; agreement: |2*fraction - 1|. Both get a
     seeded +-0.05 jitter to break pattern ties, then are clipped interior.
     """
-    frac = votes.mean(axis=1)
-    if strategy == "majority":
-        base = frac
-    elif strategy == "agreement":
-        base = np.abs(2.0 * frac - 1.0)
-    else:
+    base = votes.mean(axis=1)
+    if strategy == "agreement":
+        base *= 2.0
+        base -= 1.0
+        np.abs(base, out=base)
+    elif strategy != "majority":
         raise ValueError(f"unknown init strategy {strategy!r}")
-    rng = rng_from(seed, 91, stream)
-    jitter = rng.uniform(-0.05, 0.05, size=len(frac))
-    return np.clip(base + jitter, 1e-3, 1.0 - 1e-3)
+    # In place, so only the vote fraction and the jitter are n-sized.
+    gamma = rng_from(seed, 91, stream).uniform(-0.05, 0.05, size=len(base))
+    gamma += base
+    return np.clip(gamma, 1e-3, 1.0 - 1e-3, out=gamma)
 
 
 def class_prior(w1: np.ndarray, w0: np.ndarray) -> float:

@@ -251,7 +251,7 @@ def assert_load_agrees(raw: bytes, path: Path) -> bool:
     """load_votes equals the row-wise parser on ``raw``; returns whether the fast path took it."""
     path.write_bytes(raw)
     expected = reference_parse(raw, str(path))
-    fast = _parse_votes_fast(raw)
+    fast = _parse_votes_fast(io.BytesIO(raw))
     try:
         got = load_votes(str(path))
     except (VoteDataError, UnicodeDecodeError, csv.Error) as exc:
@@ -309,6 +309,33 @@ class TestFastParser:
     def test_line_at_the_csv_field_limit_goes_row_by_row(self, scratch_csv):
         item = "x" * csv.field_size_limit()
         assert not assert_load_agrees(f"item,j1\n{item},1\n".encode(), scratch_csv)
+
+
+class TestFastParserInBlocks(TestFastParser):
+    """Every TestFastParser case with blocks small enough to put lines on block boundaries.
+
+    A block is ``_BLOCK_BYTES`` bytes read from the file and then the rest of
+    the line they end in, so at 1 byte every line starts a block.
+    """
+
+    @pytest.fixture(scope="class", autouse=True, params=[1, 16, 4096])
+    def block_bytes(self, request):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("judgeagg.data._BLOCK_BYTES", request.param)
+            yield request.param
+
+    @pytest.mark.parametrize("raw, fast", [
+        (b"item,j1,j2,j3\nabc,1,0,1\n1\n", False),
+        (b"item,j1,j2,j3\n1\nabc,1,0,1\n", False),
+        (b"item,j1\n\na,1\n\n\nbb,0\n\n", True),
+        (b"item,j1\na,1\n\n\n\n", True),
+        (b"item,j1,label\nabcdefghijkl,1,0\nb,0,1", True),
+        (("item,j1\n" + "é,1\n日本,0\n" * 9 + "\U0001f600,1\n").encode("utf-8"), True),
+        (b"item,j1\n" + "é,1\n".encode("utf-8") * 5 + b"\xc3,0\n", False),
+    ], ids=["short-line-starts-a-block", "short-first-line", "blank-lines-at-boundaries", "blank-lines-end-the-file",
+            "unterminated-last-line", "multi-byte-ids-after-boundaries", "invalid-utf-8-after-boundaries"])
+    def test_block_boundaries(self, raw, fast, scratch_csv):
+        assert assert_load_agrees(raw, scratch_csv) is fast
 
 
 def csv_line_reference(row) -> str:
@@ -371,6 +398,17 @@ class TestWriters:
         ids = tuple(f"i{i}" if i != 65_600 else "a,b" for i in range(n))
         v = VoteMatrix(votes=votes, item_ids=ids, judge_names=("a", "b", "c"), gold_labels=votes[:, 0])
         assert dumps_votes(v) == dumps_votes_reference(v)
+
+    def test_posteriors_over_more_rows_than_one_chunk(self, scratch_csv):
+        # Each chunk of rows keys its own distinct values: 0.7 first appears
+        # in the second chunk, and -0.0 must not be written as 0.0.
+        n = 70_000
+        gamma = np.resize([0.0, -0.0, 0.25, 0.5, 1.0, 5e-324], n)
+        gamma[65_600] = gamma[69_999] = 0.7
+        ids = tuple(f"i{i}" if i != 65_601 else "a,b" for i in range(n))
+        v = VoteMatrix(votes=np.zeros((n, 1), dtype=np.int8), item_ids=ids, judge_names=("j",))
+        _write_posteriors(scratch_csv, v, gamma)
+        assert scratch_csv.read_bytes() == posteriors_reference(ids, gamma).encode("utf-8")
 
     def test_lone_cr_in_id_and_judge_name_is_quoted(self, scratch_csv):
         v = VoteMatrix(votes=[[0, 1]], item_ids=("a\rb",), judge_names=("j\r1", "j2"))
