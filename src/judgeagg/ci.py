@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -92,13 +91,6 @@ def sample_ci(p: CIParams, n: int, seed: int) -> VoteMatrix:
     return simulated_votes(votes, y)
 
 
-def _beta_log_prior(p: CIParams, a: float, b: float) -> float:
-    # Beta(a,b) kernels on every alpha_j and beta_j; normalizing constants dropped.
-    t = (a - 1.0) * (np.log(p.alpha) + np.log(p.beta))
-    t = t + (b - 1.0) * (np.log1p(-p.alpha) + np.log1p(-p.beta))
-    return float(t.sum())
-
-
 def em_fit_ci(v: VoteMatrix, config: EMConfig = EMConfig()) -> EMFit:
     """Closed-form EM for the asymmetric CI model.
 
@@ -108,33 +100,33 @@ def em_fit_ci(v: VoteMatrix, config: EMConfig = EMConfig()) -> EMFit:
     trace); convergence is relative change below ``config.tol``. Both steps
     run over the distinct vote rows, from one majority-vote start.
     """
-    return em.run(v, partial(_CIModel, a=config.prior_a, b=config.prior_b), config, ("majority",))
+    return em.run(v, _CIModel, config)
 
 
 class _CIModel:
-    """One restart of the CI family for :func:`em.run`, with Beta(a, b) priors on the rates."""
+    """One restart of the CI family for :func:`em.run`, with Beta(prior_a, prior_b) priors on the rates."""
 
-    def __init__(self, patterns: np.ndarray, trace: EMTrace, a: float, b: float):
-        self.patterns, self.a, self.b = patterns, a, b
+    def __init__(self, patterns: np.ndarray, trace: EMTrace, config: EMConfig):
+        self.patterns, self.a, self.b = patterns, config.prior_a, config.prior_b
         if patterns.shape[1] >= 2 and np.all(patterns == patterns[:, :1]):
             msg = "all judge columns identical: low-information input, estimates rely on priors"
             warnings.warn(msg)
             trace.notes.append(msg)
 
     def step(self, w1: np.ndarray, w0: np.ndarray, pi: float):
-        self.current = p = _map_mstep(self.patterns, w1, w0, pi, self.a, self.b)
-        return *p.log_scores(self.patterns), _beta_log_prior(p, self.a, self.b)
+        """Beta-MAP (alpha, beta) from per-pattern class weights, kept inside (0,1) like ``pi``.
+
+        Under a flat prior (a = b = 1) a judge that always (or never) votes 1
+        has a MAP rate of exactly 1 (or 0); the clip keeps it a valid rate.
+        """
+        patterns, a, b = self.patterns, self.a, self.b
+        alpha = (a - 1.0 + w1 @ patterns) / (a + b - 2.0 + w1.sum())
+        beta = (a - 1.0 + w0 @ (1.0 - patterns)) / (a + b - 2.0 + w0.sum())
+        self.current = p = CIParams(pi=pi, alpha=np.clip(alpha, PI_EPS, 1.0 - PI_EPS),
+                                    beta=np.clip(beta, PI_EPS, 1.0 - PI_EPS))
+        # The log prior: Beta(a,b) kernels on every alpha_j and beta_j; normalizing constants dropped.
+        prior = (a - 1.0) * (np.log(p.alpha) + np.log(p.beta)) + (b - 1.0) * (np.log1p(-p.alpha) + np.log1p(-p.beta))
+        return *p.log_scores(patterns), float(prior.sum())
 
     def params(self, pi: float) -> CIParams:
         return self.current
-
-
-def _map_mstep(patterns: np.ndarray, w1: np.ndarray, w0: np.ndarray, pi: float, a: float, b: float) -> CIParams:
-    """Beta-MAP (alpha, beta) from per-pattern class weights, kept inside (0,1) like ``pi``.
-
-    Under a flat prior (a = b = 1) a judge that always (or never) votes 1
-    has a MAP rate of exactly 1 (or 0); the clip keeps it a valid rate.
-    """
-    alpha = (a - 1.0 + w1 @ patterns) / (a + b - 2.0 + w1.sum())
-    beta = (a - 1.0 + w0 @ (1.0 - patterns)) / (a + b - 2.0 + w0.sum())
-    return CIParams(pi=pi, alpha=np.clip(alpha, PI_EPS, 1.0 - PI_EPS), beta=np.clip(beta, PI_EPS, 1.0 - PI_EPS))

@@ -29,6 +29,7 @@ from .em import EMConfig, EMFit, EMTrace
 # The keys of reproduce.REPRODUCE_TARGETS, sorted; a test keeps them equal.
 REPRODUCE_NAMES = ("ci-setups", "cw-separation-thm31", "cw-separation-thm32", "factor-separation",
                    "motivating-example", "motivating-example-classdep")
+_SEEDLESS_TARGETS = ("motivating-example", "motivating-example-classdep")  # exact enumerations: no --seed
 
 
 def _fail(message: str, code: int = 2):
@@ -313,13 +314,14 @@ def _cell(value) -> str:
 @click.option("--out", type=click.Path(), default=None, help="Directory for CSV artifacts.")
 def reproduce(name, seed, out):
     """Re-run a built-in experiment and check its reference values."""
+    if seed is not None and name in _SEEDLESS_TARGETS:
+        _fail(f"--seed is not read by the {name} target")
     from .reproduce import REPRODUCE_TARGETS
 
     try:
         checks, tables = REPRODUCE_TARGETS[name](seed)
     except (VoteDataError, OSError, ValueError) as exc:
         _fail(str(exc))
-        return
     for table_name, rows in tables.items():
         if len(rows) <= 12:
             click.echo(table_name + ":")

@@ -31,7 +31,10 @@ def magnetization_log_pmf(k: int, beta: float, h: float) -> np.ndarray:
         raise ValueError("K must be >= 1")
     log_fact = np.array([math.lgamma(r + 1) for r in range(k + 1)])  # log r!, r = 0..K
     m = magnetization_support(k)
-    logw = log_fact[k] - log_fact - log_fact[::-1] + 0.5 * beta * k * m ** 2 + h * k * m
+    with np.errstate(over="ignore", invalid="ignore"):
+        logw = log_fact[k] - log_fact - log_fact[::-1] + 0.5 * beta * k * m ** 2 + h * k * m
+    if not np.isfinite(logw).all():
+        raise ValueError(f"magnetization weights are not finite at K={k}, beta={beta}, h={h}")
     return logw - logsumexp(logw)
 
 
@@ -160,6 +163,9 @@ class CWClassSpec:
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
+        for name in ("beta", "field_value"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.field_mode not in ("constant", "scaled"):
             raise ValueError(f"unknown field_mode {self.field_mode!r}")
 

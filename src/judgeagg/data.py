@@ -24,8 +24,10 @@ def rng_from(seed: int, *key: int) -> np.random.Generator:
 
     Every random stream in the package flows through this helper so that a
     single seed plus a structural key (trial index, K value, restart index...)
-    reproduces any sub-experiment bit-for-bit.
+    reproduces any sub-experiment bit-for-bit. A negative seed is a ValueError.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -183,13 +185,8 @@ def _parse_votes_fast(fh) -> VoteMatrix | None:
         return None
     try:
         header = line[:-1].decode("utf-8").split(",")
-    except UnicodeDecodeError:
-        return None
-    if len(header) < 2 or header[0] != "item":
-        return None
-    has_gold = header[-1] == "label"
-    judges = header[1:-1] if has_gold else header[1:]
-    if not judges:
+        judges, has_gold = _header(header, "")
+    except (UnicodeDecodeError, VoteDataError):
         return None
     cells, ids = [], []
     while block := fh.read(_BLOCK_BYTES):
@@ -262,18 +259,24 @@ def _parse_block(block: bytearray, n_cells: int, limit: int) -> tuple[np.ndarray
     return cells.view(np.int8), ids
 
 
+def _header(fields: list[str], name: str) -> tuple[list[str], bool]:
+    """The judges of vote-CSV header ``fields`` (of file ``name``) and whether a ``label`` column ends it."""
+    if len(fields) < 2 or fields[0] != "item":
+        raise VoteDataError(f"{name}: header must be 'item,<judge names>[,label]'")
+    has_gold = fields[-1] == "label"
+    judges = fields[1:-1] if has_gold else fields[1:]
+    if not judges:
+        raise VoteDataError(f"{name}: no judge columns found")
+    return judges, has_gold
+
+
 def _parse_votes(fh, name: str) -> VoteMatrix:
     reader = csv.reader(fh)
     try:
         header = next(reader)
     except StopIteration:
         raise VoteDataError(f"{name}: empty file") from None
-    if len(header) < 2 or header[0] != "item":
-        raise VoteDataError(f"{name}: header must be 'item,<judge names>[,label]'")
-    has_gold = header[-1] == "label"
-    judges = header[1:-1] if has_gold else header[1:]
-    if not judges:
-        raise VoteDataError(f"{name}: no judge columns found")
+    judges, has_gold = _header(header, name)
     width = len(header)
     ids, rows, gold = [], [], []
     for lineno, row in enumerate(reader, start=2):

@@ -14,13 +14,16 @@ carries its item count and its summed class-1 responsibility ``w1``, with
 
 :func:`run` is the loop, written once, and the only caller of
 :func:`mixture_estep`. A model family plugs in as a class built once per
-restart as ``family(patterns, trace)``, with two methods:
+restart as ``family(patterns, trace, config)``, with two methods:
 
 - ``step(w1, w0, pi) -> (s1, s0, penalty)``: one M-step from the class
   weights, then the new parameters' pattern log-scores and log prior;
 - ``params(pi)``: the current parameters, with class prior ``pi``; they
   provide ``pi``, ``k``, ``flipped()``, ``log_scores`` and ``weight_sum()``,
   the judge weight sum :func:`resolve_flip` reads.
+
+A step replaces the family's attributes and changes none in place, so a
+shallow copy of a family is a snapshot of its state.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .data import PosteriorVector, VoteDataError, VoteMatrix, rng_from, vote_patterns
 
-# Initialization strategies tried by the Ising/factor fitters, in order of
+# Initialization strategies of a fit given a CI warm start, in order of
 # preference when objectives tie: warm start from the CI solution, then
 # majority-vote fraction, then the agreement statistic |2*frac - 1| (which
 # separates classes whose signal lives in co-voting rather than in marginals).
@@ -64,6 +67,8 @@ class EMConfig:
             raise ValueError("tol must be positive and finite, and max_iters at least 1")
         if not (1.0 <= self.prior_a < np.inf and 1.0 <= self.prior_b < np.inf):
             raise ValueError("Beta prior parameters must be finite and >= 1 (log-concave MAP updates)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass
@@ -78,11 +83,14 @@ class EMTrace:
 
     objective: list[float] = field(default_factory=list)
     loglik: list[float] = field(default_factory=list)
-    n_iters: int = 0
     converged: bool = False
     flipped: bool = False
     init_used: str = ""
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def n_iters(self) -> int:
+        return len(self.objective)
 
 
 @dataclass
@@ -94,11 +102,11 @@ class EMFit:
     trace: EMTrace
 
 
-def init_gamma(votes: np.ndarray, seed: int, strategy: str = "majority", stream: int = 0) -> np.ndarray:
+def init_gamma(votes: np.ndarray, seed: int, strategy: str = "majority") -> np.ndarray:
     """Initial responsibilities from the vote matrix.
 
     majority: per-item vote fraction; agreement: |2*fraction - 1|. Both get a
-    seeded +-0.05 jitter to break pattern ties, then are clipped interior.
+    seeded +-0.05 jitter (streams 0 and 2) to break ties, then are clipped interior.
     """
     base = votes.mean(axis=1)
     if strategy == "agreement":
@@ -108,7 +116,7 @@ def init_gamma(votes: np.ndarray, seed: int, strategy: str = "majority", stream:
     elif strategy != "majority":
         raise ValueError(f"unknown init strategy {strategy!r}")
     # In place, so only the vote fraction and the jitter are n-sized.
-    gamma = rng_from(seed, 91, stream).uniform(-0.05, 0.05, size=len(base))
+    gamma = rng_from(seed, 91, 2 if strategy == "agreement" else 0).uniform(-0.05, 0.05, size=len(base))
     gamma += base
     return np.clip(gamma, 1e-3, 1.0 - 1e-3, out=gamma)
 
@@ -164,10 +172,6 @@ def logsumexp(a, axis=None):
     with np.errstate(divide="ignore"):
         total = np.log(np.exp(a - top).sum(axis=axis))
     return total + np.squeeze(top, axis=axis)
-
-
-def relative_change(new: float, old: float) -> float:
-    return abs(new - old) / (1.0 + abs(new))
 
 
 def _posterior(pi: float, s1: np.ndarray, s0: np.ndarray) -> np.ndarray:
@@ -251,30 +255,29 @@ def minimize(fun, x0) -> NewtonResult:
     return NewtonResult(x, f, nfev, nit, True)
 
 
-def run(v: VoteMatrix, family, config: EMConfig, strategies=INIT_STRATEGIES, ci_fit=None) -> EMFit:
+def run(v: VoteMatrix, family, config: EMConfig, ci_fit=None) -> EMFit:
     """Fit one model family by EM over the distinct vote rows of ``v``.
 
-    Runs one restart per initialization strategy, in order: "ci" starts from
-    ``ci_fit(v, config)``'s posteriors (clipped interior), the others from
-    :func:`init_gamma`. Each restart alternates ``family.step`` until the
-    objective's relative change falls below ``config.tol`` or
-    ``config.max_iters`` steps. A later restart replaces the best so far only
-    if it wins by :data:`RESTART_MARGIN`; the winner's labeling is then
-    oriented by :func:`resolve_flip`, and the posterior is :func:`predict`'s
-    at those final parameters.
+    Runs one restart per initialization strategy, in order: all of
+    :data:`INIT_STRATEGIES` given a ``ci_fit`` hook, "majority" alone without.
+    "ci" starts from ``ci_fit(v, config)``'s posteriors (clipped interior),
+    the others from :func:`init_gamma`. Each restart builds ``family(patterns,
+    trace, config)`` and alternates its ``step`` until the objective's relative
+    change falls below ``config.tol`` or ``config.max_iters`` steps. A later
+    restart replaces the best so far only if it wins by :data:`RESTART_MARGIN`;
+    the winner's labeling is then oriented by :func:`resolve_flip`, and the
+    posterior is :func:`predict`'s at those final parameters.
     """
     if v.n < 2:
         raise ValueError("an EM fit requires at least 2 items")
     patterns, counts, inverse = vote_patterns(v.votes)
     best = None
-    for stream, strategy in enumerate(strategies):
-        if strategy == "ci":
-            gamma0 = np.clip(ci_fit(v, config).posterior.gamma, 1e-3, 1 - 1e-3)
-        else:
-            gamma0 = init_gamma(v.votes, config.seed, strategy, stream=0 if strategy == "majority" else stream)
+    for strategy in INIT_STRATEGIES if ci_fit is not None else ("majority",):
+        gamma0 = (np.clip(ci_fit(v, config).posterior.gamma, 1e-3, 1 - 1e-3) if strategy == "ci"
+                  else init_gamma(v.votes, config.seed, strategy))
         w1 = np.bincount(inverse, weights=gamma0)
         trace = EMTrace(init_used=strategy)
-        model = family(patterns, trace)
+        model = family(patterns, trace, config)
         prev = -np.inf
         for _ in range(config.max_iters):
             w0 = counts - w1
@@ -285,8 +288,7 @@ def run(v: VoteMatrix, family, config: EMConfig, strategies=INIT_STRATEGIES, ci_
             w1 = counts * gamma
             trace.loglik.append(ll)
             trace.objective.append(obj)
-            trace.n_iters += 1
-            if relative_change(obj, prev) < config.tol:
+            if abs(obj - prev) / (1.0 + abs(obj)) < config.tol:
                 trace.converged = True
                 break
             prev = obj

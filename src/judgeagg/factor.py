@@ -25,6 +25,11 @@ _ZQ = np.sqrt(2.0) * _H_NODES
 _LOG_WQ = np.log(_H_WEIGHTS) - 0.5 * np.log(np.pi)
 
 
+# The node minorizer's (2Q, 3) features of each (class, node) pair, class 0's
+# nodes first: the class indicator y, an intercept and the node value.
+_NODE_FEATURES = np.stack([np.repeat([0.0, 1.0], QUAD_NODES), np.ones(2 * QUAD_NODES), np.tile(_ZQ, 2)], axis=1)
+
+
 def _quad_mean(eta, lam, z=_ZQ):
     """E[sigma(eta + lam Z)] over the quadrature nodes z, per entry of eta and lam."""
     return np.exp(_LOG_WQ) @ expit(eta + np.multiply.outer(z, lam))
@@ -45,7 +50,7 @@ class FactorParams:
             raise ValueError("pi must lie strictly inside (0,1)")
         if not (self.sigma2_z > 0.0):
             raise ValueError("sigma2_z must be positive")
-        for name in ("a", "b", "lam"):
+        for name in ("a", "b", "lam", "sigma2_z"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -237,11 +242,10 @@ def em_fit_factor(v: VoteMatrix, r: int = 1, config: EMConfig = EMConfig()) -> E
 class _FactorModel:
     """One restart of the rank-1 factor family for :func:`em.run`."""
 
-    def __init__(self, patterns, trace):
+    def __init__(self, patterns, trace, config):
         k = patterns.shape[1]
         self.patterns = patterns
-        self.a = np.zeros(k)
-        self.b = np.zeros(k)
+        self.a = self.b = np.zeros(k)
         # Small positive loading init: breaks the lam = 0 stationary point while
         # staying below the noise floor, so a null factor is not inflated.
         self.lam = 0.05 * np.ones(k)
@@ -254,43 +258,37 @@ class _FactorModel:
         self.log_r = r0, r1
         return l1, l0
 
+    def _mstep(self, w1, w0):
+        """Improve the quadrature log-likelihood, rows weighted by w1 and w0, via its node minorizer.
+
+        The family's ``log_r`` holds the class-0 and class-1 node log-responsibilities
+        at the current parameters (from :func:`_node_scores`); the resulting bound is,
+        for each judge, a weighted logistic log-likelihood in (a_j, b_j, lam_j)
+        with node-level weights shared across judges. One :func:`em.minimize`
+        solve over all K judges' parameters, whose Hessian is block-diagonal,
+        keeps the bound (and hence the objective) from decreasing.
+        """
+        k, x = len(self.a), _NODE_FEATURES
+        gw = [w[:, None] * np.exp(r) for w, r in zip((w0, w1), self.log_r)]   # (n, Q) per class
+        cw = np.concatenate([g.sum(axis=0) for g in gw])                        # sum_i g R per node, (2Q,)
+        dw = np.concatenate([self.patterns.T @ g for g in gw], axis=1)          # sum_i g R J per judge, (K, 2Q)
+
+        def neg_bound(flat):
+            eta = flat.reshape(k, 3) @ x.T                                      # (K, 2Q)
+            sig = expit(eta)
+            hess = np.zeros((k, 3, k, 3))
+            hess[np.arange(k), :, np.arange(k), :] = np.einsum("kq,qa,qb->kab", cw * sig * (1.0 - sig), x, x)
+            return (np.logaddexp(0.0, eta).sum(axis=0) @ cw - np.sum(dw * eta),
+                    ((cw * sig - dw) @ x).ravel(), hess.reshape(3 * k, 3 * k))
+
+        theta = em.minimize(neg_bound, np.stack([self.a, self.b, self.lam], axis=1).ravel()).x.reshape(k, 3)
+        self.a, self.b, self.lam = theta[:, 0].copy(), theta[:, 1].copy(), theta[:, 2].copy()
+
     def step(self, w1, w0, pi):
-        self.a, self.b, self.lam = _mstep_newton(self.patterns, w1, w0, self.a, self.b, self.lam, self.log_r)
+        self._mstep(w1, w0)
         return *self._scores(), 0.0
 
     def params(self, pi) -> MultiFactorParams:
         lam = -self.lam if self.lam.sum() < 0 else self.lam
         return MultiFactorParams(a=self.a, b=self.b, loadings=lam[:, None], pi=pi)
 
-
-def _mstep_newton(votes, w1, w0, a, b, lam, log_r):
-    """Improve the quadrature log-likelihood, rows weighted by w1 and w0, via its node minorizer.
-
-    ``log_r`` holds the class-0 and class-1 node log-responsibilities at the
-    current parameters (from :func:`_node_scores`); the resulting bound is,
-    for each judge, a weighted logistic log-likelihood in (a_j, b_j, lam_j)
-    with node-level weights shared across judges. One :func:`em.minimize`
-    solve over all K judges' parameters, whose Hessian is block-diagonal,
-    keeps the bound (and hence the objective) from decreasing.
-    """
-    k = len(a)
-    gw = [w[:, None] * np.exp(r) for w, r in zip((w0, w1), log_r)]    # (n, Q) per class
-
-    x = np.stack([
-        np.concatenate([np.zeros(QUAD_NODES), np.ones(QUAD_NODES)]),   # y feature
-        np.ones(2 * QUAD_NODES),                                       # intercept
-        np.tile(_ZQ, 2),                                               # node value
-    ], axis=1)                                                          # (2Q, 3)
-    cw = np.concatenate([g.sum(axis=0) for g in gw])                    # sum_i g R per node, (2Q,)
-    dw = np.concatenate([votes.T @ g for g in gw], axis=1)              # sum_i g R J per judge, (K, 2Q)
-
-    def neg_bound(flat):
-        eta = flat.reshape(k, 3) @ x.T                                  # (K, 2Q)
-        sig = expit(eta)
-        hess = np.zeros((k, 3, k, 3))
-        hess[np.arange(k), :, np.arange(k), :] = np.einsum("kq,qa,qb->kab", cw * sig * (1.0 - sig), x, x)
-        return (np.logaddexp(0.0, eta).sum(axis=0) @ cw - np.sum(dw * eta),
-                ((cw * sig - dw) @ x).ravel(), hess.reshape(3 * k, 3 * k))
-
-    theta = em.minimize(neg_bound, np.stack([a, b, lam], axis=1).ravel()).x.reshape(k, 3)
-    return theta[:, 0].copy(), theta[:, 1].copy(), theta[:, 2].copy()

@@ -18,7 +18,7 @@ import numpy as np
 from . import em
 from .ci import CIParams, em_fit_ci
 from .data import VoteMatrix, rng_from, simulated_votes
-from .em import INIT_STRATEGIES, PI_EPS, EMConfig, EMFit, expit, logsumexp, minimize
+from .em import PI_EPS, EMConfig, EMFit, expit, logsumexp, minimize
 
 K_MAX_EXACT = 15
 
@@ -478,30 +478,6 @@ def fit_pseudo(v: VoteMatrix | np.ndarray, weights) -> tuple[np.ndarray, np.ndar
 # Generalized EM driver
 
 
-def _class_param_fit(design, w1, w0, shared, x1, x0, lam, a, b):
-    """One M-step: pseudo-likelihood fits for both class models, weighted by w1 and w0.
-
-    Returns the class-1 and class-0 ``(h, triu W)`` vectors.
-    """
-    votes, k = design.votes, design.k
-    if k == 1:
-        # No couplings exist: the weighted Bernoulli MAP has a closed form
-        # identical to the CI fitter's update, kept inside (0,1) as there.
-        s1 = np.clip((a - 1.0 + w1 @ votes[:, 0]) / (a + b - 2.0 + w1.sum()), PI_EPS, 1.0 - PI_EPS)
-        s0 = np.clip((a - 1.0 + w0 @ votes[:, 0]) / (a + b - 2.0 + w0.sum()), PI_EPS, 1.0 - PI_EPS)
-        return np.array([np.log(s1 / (1 - s1))]), np.array([np.log(s0 / (1 - s0))])
-    if not shared:
-        return (minimize(partial(_neg_pll_newton, design=design, weights=w1, lam=lam, a=a, b=b), x1).x,
-                minimize(partial(_neg_pll_newton, design=design, weights=w0, lam=lam, a=a, b=b), x0).x)
-    # Shared couplings: one joint solve over (h1, h0, W) so W0 = W1 holds
-    # exactly rather than by post-hoc averaging.
-    i1, i0 = _shared_slots(k)
-    xj = np.zeros(len(i1) + k)
-    xj[i1], xj[i0[:k]] = x1, x0[:k]
-    xj = minimize(partial(_neg_pll_newton_shared, design=design, w1=w1, w0=w0, lam=lam, a=a, b=b), xj).x
-    return xj[i1], xj[i0]
-
-
 def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig = EMConfig()) -> EMFit:
     """Generalized EM for Ising vote models.
 
@@ -521,11 +497,10 @@ def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig 
     if v.k > K_MAX_EXACT:
         warnings.warn(f"exact evidence unavailable for K={v.k} (cutoff {K_MAX_EXACT}); "
                       "E-step falls back to pseudo-likelihood class scores")
-    family = partial(_IsingModel, shared=mode == "class_independent", config=config)
+    family = partial(_IsingModel, shared=mode == "class_independent")
     # With a single judge no couplings exist and the model coincides with the
-    # CI fitter; run the matched single-init procedure so outputs agree.
-    strategies = ("majority",) if v.k == 1 else INIT_STRATEGIES
-    return em.run(v, family, config, strategies, ci_fit=em_fit_ci)
+    # CI fitter; run its single majority start (no CI warm start) so outputs agree.
+    return em.run(v, family, config, ci_fit=None if v.k == 1 else em_fit_ci)
 
 
 class _IsingModel:
@@ -534,9 +509,9 @@ class _IsingModel:
     Its state: the class-1 and class-0 ``(h, triu W)`` vectors, and ``cur``, their :meth:`_score`.
     """
 
-    def __init__(self, patterns, trace, shared, config):
+    def __init__(self, patterns, trace, config, shared):
         self.patterns, self.trace, self.shared, self.design = patterns, trace, shared, _PLLDesign(patterns)
-        self.lam, self.a, self.b = LAMBDA_REG, config.prior_a, config.prior_b
+        self.a, self.b = config.prior_a, config.prior_b
         k = patterns.shape[1]
         self.x1 = self.x0 = np.zeros(k + k * (k - 1) // 2)
         self.cur = None
@@ -546,11 +521,32 @@ class _IsingModel:
         k = self.design.k
         (h1, W1), (h0, W0) = _unpack(x1, k), _unpack(x0, k)
         ridge = np.sum(W1 ** 2) if self.shared else np.sum(W0 ** 2) + np.sum(W1 ** 2)
-        penalty = _field_prior(h0, self.a, self.b)[0] + _field_prior(h1, self.a, self.b)[0] - self.lam * ridge
+        penalty = _field_prior(h0, self.a, self.b)[0] + _field_prior(h1, self.a, self.b)[0] - LAMBDA_REG * ridge
         return _class_scores(self.patterns, h1, W1), _class_scores(self.patterns, h0, W0), penalty
 
+    def _mstep(self, w1, w0):
+        """Pseudo-likelihood fits of both class models, weighted by w1 and w0: class-1 and class-0 ``(h, triu W)``."""
+        design, a, b = self.design, self.a, self.b
+        votes, k = design.votes, design.k
+        if k == 1:
+            # No couplings exist: the weighted Bernoulli MAP has a closed form
+            # identical to the CI fitter's update, kept inside (0,1) as there.
+            s1 = np.clip((a - 1.0 + w1 @ votes[:, 0]) / (a + b - 2.0 + w1.sum()), PI_EPS, 1.0 - PI_EPS)
+            s0 = np.clip((a - 1.0 + w0 @ votes[:, 0]) / (a + b - 2.0 + w0.sum()), PI_EPS, 1.0 - PI_EPS)
+            return np.array([np.log(s1 / (1 - s1))]), np.array([np.log(s0 / (1 - s0))])
+        if not self.shared:
+            pll = partial(_neg_pll_newton, design=design, lam=LAMBDA_REG, a=a, b=b)
+            return minimize(partial(pll, weights=w1), self.x1).x, minimize(partial(pll, weights=w0), self.x0).x
+        # Shared couplings: one joint solve over (h1, h0, W) so W0 = W1 holds
+        # exactly rather than by post-hoc averaging.
+        i1, i0 = _shared_slots(k)
+        xj = np.zeros(len(i1) + k)
+        xj[i1], xj[i0[:k]] = self.x1, self.x0[:k]
+        xj = minimize(partial(_neg_pll_newton_shared, design=design, w1=w1, w0=w0, lam=LAMBDA_REG, a=a, b=b), xj).x
+        return xj[i1], xj[i0]
+
     def step(self, w1, w0, pi):
-        x1, x0 = _class_param_fit(self.design, w1, w0, self.shared, self.x1, self.x0, self.lam, self.a, self.b)
+        x1, x0 = self._mstep(w1, w0)
         cand = self._score(x1, x0)
         # The first M-step has nothing to fall back to.
         if self.cur is None or _expected(w1, w0, cand) >= _expected(w1, w0, self.cur) - 1e-9:

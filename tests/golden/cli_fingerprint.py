@@ -14,7 +14,8 @@ where it ran:
 - ``reproduce`` for every target, with ``--out``;
 - inputs known to exit 2 (bad counts and flags, flags a generator does not
   read, non-finite EM settings, malformed or mismatched votes and model
-  files, unknown names).
+  files, unknown names, non-finite or overflowing generator parameters,
+  negative seeds, and a seed given to a reproduce target that reads none).
 
 Warnings are recorded per command and hashed as category and text, without
 the file and line they were raised from. Run it at two commits with BLAS
@@ -90,6 +91,15 @@ def commands():
     yield ["evaluate", "--votes", "ci-setup-2.csv", "--models", "ci,nope"]
     yield ["evaluate", "--votes", "ci-setup-2.csv", "--num-judges", "9"]
     yield ["reproduce", "no-such-target"]
+    for gen, flags in (("cw", ("--beta0", "nan")), ("cw", ("--h0", "nan")), ("cw", ("--c1", "nan")),
+                       ("cw", ("--beta1", "inf")), ("cw", ("--c1", "inf")), ("cw", ("--beta1", "1e308")),
+                       ("factor", ("--sigma2", "inf")), ("factor", ("--lam", "0", "--sigma2", "inf"))):
+        yield ["simulate", "--generator", gen, *flags, "--out", "bad.csv"]
+    yield ["simulate", "--generator", "ci-setup-1", "--seed", "-1", "--out", "bad.csv"]
+    yield ["fit", "--votes", "ci-setup-2.csv", "--model", "ci", "--seed", "-1", "--out", "bad"]
+    yield ["evaluate", "--votes", "ci-setup-3.csv", "--seed", "-1"]
+    yield ["reproduce", "ci-setups", "--seed", "-1"]
+    yield ["reproduce", "motivating-example", "--seed", "5", "--out", "reproduce-seeded"]
 
 
 def _snapshot(root: Path) -> dict[str, bytes]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,26 @@ class TestSimulate:
         assert f"error: {message}" in res.output
         assert not (tmp_path / "cw.csv").exists()
 
+    @pytest.mark.parametrize("generator, args, message", [
+        ("cw", ("--beta0", "nan"), "beta must be finite"),
+        ("cw", ("--h0", "nan"), "field_value must be finite"),
+        ("cw", ("--c1", "nan"), "field_value must be finite"),
+        ("cw", ("--beta1", "inf"), "beta must be finite"),
+        ("cw", ("--c1", "inf"), "field_value must be finite"),
+        ("cw", ("--beta1", "1e308"), "magnetization weights are not finite at K=10, beta=1e+308, h=0.0"),
+        ("factor", ("--sigma2", "inf"), "sigma2_z must be finite"),
+        ("factor", ("--lam", "0", "--sigma2", "inf"), "sigma2_z must be finite"),
+    ], ids=lambda x: " ".join(x) if isinstance(x, tuple) else None)
+    def test_non_finite_parameter_exits_2(self, runner, tmp_path, generator, args, message):
+        out = tmp_path / "votes.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["simulate", "--generator", generator, "--out", str(out), *args])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: {message}\n"
+        assert not caught  # no numpy warning on the way
+        assert not out.exists()
+
     @pytest.mark.parametrize("generator", ["cw", "factor"])
     @pytest.mark.parametrize("args", [("-n", "0"), ("-n", "-1"), ("--num-judges", "0"), ("--num-judges", "-2")],
                              ids=" ".join)
@@ -87,6 +108,25 @@ class TestSimulate:
         defaults = {p.opts[0]: p.default for p in main.commands["simulate"].params}
         args = [str(x) for flag in flags for x in (flag, defaults[flag])]
         simulate(runner, tmp_path, generator=generator, n=20, extra=args)
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--model", "ci", "--votes", "{votes}", "--out", "{out}"],
+    ["evaluate", "--votes", "{votes}", "--trials", "1", "--out", "{out}"],
+    ["simulate", "--generator", "ci-setup-1", "--out", "{out}"],
+    ["simulate", "--generator", "shared-demo", "--out", "{out}"],
+    ["simulate", "--generator", "cw", "--out", "{out}"],
+    ["simulate", "--generator", "factor", "--out", "{out}"],
+    ["reproduce", "ci-setups", "--out", "{out}"],
+], ids=lambda args: " ".join(args[:3]))
+def test_negative_seed_exits_2(runner, tmp_path, args):
+    votes = simulate(runner, tmp_path, n=60)
+    out = tmp_path / "out"
+    fill = {"{votes}": str(votes), "{out}": str(out)}
+    res = runner.invoke(main, [fill.get(a, a) for a in args] + ["--seed", "-1"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
@@ -338,6 +378,15 @@ class TestReproduce:
         res = runner.invoke(main, ["reproduce", "cw-separation-thm31", "--seed", "0"])
         assert res.exit_code == 1
         assert "FAIL" in res.output
+
+    @pytest.mark.parametrize("name", ["motivating-example", "motivating-example-classdep"])
+    def test_seed_on_a_target_that_reads_none_exits_2(self, runner, tmp_path, name):
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["reproduce", name, "--seed", "5", "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: --seed is not read by the {name} target\n"
+        assert not out.exists()
 
     def test_unknown_name_rejected(self, runner):
         res = runner.invoke(main, ["reproduce", "not-a-target"])

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -46,6 +49,25 @@ class TestMagnetizationPmf:
     def test_large_k_no_overflow(self):
         lp = magnetization_log_pmf(10_000, 2.0, 0.1)
         assert np.isfinite(lp).all()
+
+    @pytest.mark.parametrize("beta, h", [(1e308, 0.0), (0.5, 1e308), (np.inf, 0.0), (np.nan, 0.0), (0.5, np.nan)])
+    def test_non_finite_weights_raise_naming_the_inputs(self, beta, h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"magnetization weights are not finite at K=6, beta={beta}, h={h}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                magnetization_log_pmf(6, beta, h)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"beta": np.nan}, "beta"),
+    ({"beta": np.inf}, "beta"),
+    ({"beta": 1.0, "field_value": np.nan}, "field_value"),
+    ({"beta": 1.0, "field_value": -np.inf}, "field_value"),
+])
+def test_class_spec_rejects_non_finite_values(fields, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        CWClassSpec(**fields)
 
 
 class TestSampler:

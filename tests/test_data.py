@@ -14,6 +14,7 @@ from judgeagg import (
     VoteMatrix,
     accuracy,
     load_votes,
+    rng_from,
     save_votes,
     split,
 )
@@ -157,6 +158,11 @@ class TestSplit:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             SplitSpec(train_fraction=1.0, seed=0)
+
+
+def test_rng_from_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        rng_from(-1, 3)
 
 
 class TestAccuracy:

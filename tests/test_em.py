@@ -1,7 +1,10 @@
 """Shared EM machinery: the vote-pattern table and degenerate inputs."""
 
+import copy
+import dataclasses
 import json
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +12,10 @@ import pytest
 from click.testing import CliRunner
 
 from judgeagg import (CIParams, EMConfig, IsingParams, MultiFactorParams, VoteMatrix, em_fit_ci, em_fit_factor,
-                      em_fit_ising, save_votes)
-from judgeagg import em
+                      em_fit_ising, sample_ci, save_votes)
+from judgeagg import ci, em, factor, ising
 from judgeagg.cli import main
-from judgeagg.em import PI_EPS, class_prior, vote_patterns
+from judgeagg.em import PI_EPS, EMTrace, class_prior, vote_patterns
 
 
 class TestVotePatterns:
@@ -76,6 +79,11 @@ def test_class_prior_stays_inside_unit_interval():
 def test_em_config_rejects_non_finite_values(name, value):
     with pytest.raises(ValueError, match="finite"):
         EMConfig(**{name: value})
+
+
+def test_em_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        EMConfig(seed=-1)
 
 
 @pytest.mark.parametrize("make", [
@@ -232,7 +240,7 @@ def test_engine_keeps_no_restart_model_alive():
 
         built = alive = peak = 0
 
-        def __init__(self, patterns, trace):
+        def __init__(self, patterns, trace, config):
             cls = type(self)
             cls.built += 1
             cls.alive += 1
@@ -259,6 +267,69 @@ def test_engine_keeps_no_restart_model_alive():
     assert CountingFamily.alive == 0
     assert fit.trace.init_used == em.INIT_STRATEGIES[-1]
     assert fit.posterior.gamma.shape == (v.n,)
+
+
+def test_run_without_a_hook_runs_the_majority_restart_alone():
+    built = []
+
+    def family(patterns, trace, config):
+        built.append(trace.init_used)
+        return ci._CIModel(patterns, trace, config)
+
+    v = _constant_column_votes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = em.run(v, family, EMConfig())
+        reference = em_fit_ci(v)
+    assert built == ["majority"]
+    assert fit.trace.init_used == "majority"
+    assert np.array_equal(fit.posterior.gamma, reference.posterior.gamma)
+
+
+FAMILIES = {
+    "ci": ci._CIModel,
+    "ising-shared": partial(ising._IsingModel, shared=True),
+    "ising-classdep": partial(ising._IsingModel, shared=False),
+    "factor": factor._FactorModel,
+}
+
+
+def _state_arrays(value) -> list[np.ndarray]:
+    """Every array in ``value``, through tuples and parameter dataclasses."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _state_arrays(item)]
+    if dataclasses.is_dataclass(value):
+        return _state_arrays(tuple(vars(value).values()))
+    return []
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_a_shallow_copy_of_a_family_is_a_snapshot(family):
+    # A step replaces the family's arrays and writes into none of them, so a
+    # copy taken before the step still holds the state it was taken at.
+    v = sample_ci(CIParams(pi=0.4, alpha=np.array([0.9, 0.8, 0.7, 0.6]), beta=np.array([0.6, 0.7, 0.8, 0.9])),
+                  400, 5)
+    patterns, counts, _ = vote_patterns(v.votes)
+    model = FAMILIES[family](patterns, EMTrace(), EMConfig())
+    rng = np.random.default_rng(1)
+
+    def step():
+        w1 = counts * rng.uniform(0.05, 0.95, len(counts))
+        model.step(w1, counts - w1, class_prior(w1, counts - w1))
+
+    step()
+    snapshot = copy.copy(model)
+    saved = {name: [a.copy() for a in _state_arrays(value)] for name, value in vars(snapshot).items()}
+    step()
+    moved = False
+    for name, value in vars(snapshot).items():
+        arrays = _state_arrays(value)
+        assert len(arrays) == len(saved[name]), name
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, saved[name])), name
+        moved |= not all(np.array_equal(a, b) for a, b in zip(_state_arrays(getattr(model, name)), saved[name]))
+    assert moved  # the step changed the family itself
 
 
 def _flipping_k16_votes() -> VoteMatrix:
@@ -295,6 +366,7 @@ def test_predict_reproduces_fit_posterior(name, v, config, family):
     if name == "flipping-k16" and family.startswith("ising"):
         assert fit.trace.flipped
     assert np.array_equal(em.predict(fit.params, v).gamma, fit.posterior.gamma)
+    assert fit.trace.n_iters == len(fit.trace.objective)
 
 
 def _weight_sum_cases():

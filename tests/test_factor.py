@@ -22,6 +22,12 @@ from judgeagg.factor import _quad_mean, factor_log_lik
 from judgeagg.reproduce import aligned_accuracy
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.0])
+def test_factor_params_reject_an_infinite_factor_variance(lam):
+    with pytest.raises(ValueError, match="^sigma2_z must be finite$"):
+        FactorParams(pi=0.5, a=0.5, b=1.0, lam=lam, sigma2_z=np.inf)
+
+
 class TestSampleFactor:
     def test_disabled_factor_matches_ci_rates(self):
         p = FactorParams(pi=0.5, a=0.5, b=1.0, lam=0.0, sigma2_z=1.0)
