@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import em
-from .data import PosteriorVector, VoteMatrix, rng_from, simulated_votes
+from .data import _CHUNK_ROWS, PosteriorVector, VoteMatrix, rng_from, simulated_votes
 from .em import PI_EPS, EMConfig, EMFit, EMTrace, judge_weights
 
 
@@ -83,11 +83,17 @@ def umv_predict(v: VoteMatrix) -> PosteriorVector:
 
 
 def sample_ci(p: CIParams, n: int, seed: int) -> VoteMatrix:
-    """Simulate n items from the CI model, gold labels included."""
+    """Simulate n items from the CI model, gold labels included.
+
+    The votes are drawn in blocks of ``_CHUNK_ROWS`` rows, which reads the
+    generator's stream in the same order as one n x K draw.
+    """
     rng = rng_from(seed, 11)
     y = (rng.random(n) < p.pi).astype(np.int8)
-    rates = np.where(y[:, None] == 1, p.alpha[None, :], 1.0 - p.beta[None, :])
-    votes = (rng.random((n, p.k)) < rates).astype(np.int8)
+    votes = np.empty((n, p.k), dtype=np.int8)
+    for start in range(0, n, _CHUNK_ROWS):
+        rates = np.where(y[start:start + _CHUNK_ROWS, None] == 1, p.alpha, 1.0 - p.beta)
+        votes[start:start + len(rates)] = rng.random(rates.shape) < rates
     return simulated_votes(votes, y)
 
 

@@ -282,7 +282,14 @@ def simulate(ctx, generator, n_items, num_judges, beta0, beta1, h0, c1, pi, a, b
         elif generator == "cw":
             from .curie_weiss import CWClassSpec, CWExperimentSpec, sample_labeled_cw
 
-            # The spec checks the inputs (pi, both betas, n) and carries them to the sampler.
+            # Each class parameter is checked here, in CWClassSpec's order, so
+            # that its message names the flag; the spec checks the rest (pi, n).
+            for flag, value, coupling in (("--beta0", beta0, True), ("--h0", h0, False),
+                                          ("--beta1", beta1, True), ("--c1", c1, False)):
+                if coupling and value <= 0:
+                    raise VoteDataError(f"{flag} must be positive")
+                if not np.isfinite(value):
+                    raise VoteDataError(f"{flag} must be finite")
             spec = CWExperimentSpec(
                 pi=pi,
                 class0=CWClassSpec(beta=beta0, field_mode="constant", field_value=h0),

@@ -235,14 +235,14 @@ def sample_labeled_cw(spec: CWExperimentSpec, k: int, label_rng, seeds: tuple[in
     """Labeled exact spins at K = k: Y ~ Bernoulli(spec.pi), spins from the item's class law.
 
     Labels come from ``label_rng``; ``seeds`` seed the :func:`sample_cw`
-    draws of class 1 and class 0, in that order. Returns (labels, spins).
+    draws of class 1 and class 0, in that order; a class that drew no item
+    still has its law checked. Returns (labels, spins).
     """
     y = (label_rng.random(spec.n) < spec.pi).astype(np.int8)
     spins = np.zeros((spec.n, k), dtype=np.int8)
     for label, law, seed in ((1, spec.class1, seeds[0]), (0, spec.class0, seeds[1])):
         count = int(np.count_nonzero(y == label))
-        if count:
-            spins[y == label] = sample_cw(k, law.beta, law.field_at(k), count, seed)
+        spins[y == label] = sample_cw(k, law.beta, law.field_at(k), count, seed)
     return y, spins
 
 

@@ -143,63 +143,69 @@ class SplitSpec:
             raise ValueError("train_fraction must lie strictly inside (0,1)")
 
 
+# The reader takes line-aligned blocks of about this many bytes; the csv
+# fallback and the writers work in chunks of this many rows.
+_BLOCK_BYTES = 1 << 20
+_CHUNK_ROWS = 1 << 16
+
+
 def load_votes(path: str) -> VoteMatrix:
     """Parse a UTF-8 vote CSV: header ``item,<judge>...[,label]``, one row per item.
 
     Cells must be exactly 0 or 1. A trailing column named ``label`` is parsed
-    as gold labels. Errors name the offending row and column.
+    as gold labels. Every error, bytes that are not UTF-8 and fields over
+    ``csv.field_size_limit()`` included, is a VoteDataError naming the file
+    (and a bad row's row and column).
 
-    Plain files are parsed by a vectorized byte-level reader that reads one
-    line-aligned block of about ``_BLOCK_BYTES`` at a time, so it never holds
-    the whole file: beside the result it keeps each block's cells (one byte
-    per cell) and id list until they are joined. Quoted or CRLF files, and
-    every malformed one, are read whole and go row by row through
-    ``csv.reader``.
+    The file is read once, front to back, in line-aligned blocks of about
+    ``_BLOCK_BYTES``: by a vectorized byte-level parser while they are plain
+    (see :func:`_parse_block`), and from the first that is not, by
+    ``csv.reader`` ``_CHUNK_ROWS`` rows at a time. The result is that of
+    ``csv.reader`` over the whole file. Beside it the reader keeps only each
+    block's cells (one byte per cell) and ids until they are joined.
     """
     with open(path, "rb") as fh:
-        v = _parse_votes_fast(fh)
-        if v is None:
-            fh.seek(0)
-            v = _parse_votes(io.TextIOWrapper(io.BytesIO(fh.read()), encoding="utf-8", newline=""), path)
-    return v
+        try:
+            return _read_votes(fh, path)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise VoteDataError(f"{path}: {exc}") from None
 
 
-# The fast parser reads line-aligned blocks of about this many bytes.
-_BLOCK_BYTES = 1 << 20
-
-
-def _parse_votes_fast(fh) -> VoteMatrix | None:
-    """The :func:`_parse_votes` result for a plain vote CSV read from binary file ``fh``, or None.
-
-    Accepts only input that ``csv.reader`` provably splits on commas and
-    newlines alone: valid UTF-8 with no quote, CR or NUL, no line as long as
-    the csv field limit, a well-formed header of width w, and every non-blank
-    line ending in exactly w - 1 cells ``,0`` or ``,1`` after an id. Each
-    block's comma count must then equal its rows * (w - 1), so no id holds a
-    comma. Any other input, malformed or merely unusual, returns None and is
-    left to :func:`_parse_votes`, the only source of error messages.
-    """
+def _read_votes(fh, name: str) -> VoteMatrix:
     limit = csv.field_size_limit()
-    line = fh.readline()
-    if not line.endswith(b"\n") or len(line) > limit or not _plain(line):
-        return None
-    try:
-        header = line[:-1].decode("utf-8").split(",")
-        judges, has_gold = _header(header, "")
-    except (UnicodeDecodeError, VoteDataError):
-        return None
+    header = _plain_header(fh.readline(), limit)
+    # Where csv.reader takes over (the start, when the header is not plain) and the records before it.
+    start, records = 0, 1
     cells, ids = [], []
-    while block := fh.read(_BLOCK_BYTES):
-        block = bytearray(block)
-        block += fh.readline()  # to the end of the line
-        parsed = _parse_block(block, len(header) - 1, limit)
-        if parsed is None:
-            return None
-        cells.append(parsed[0])
-        ids.append(parsed[1])
+    if header is not None:
+        judges, has_gold = _header(header, name)
+        start = fh.tell()
+        while block := fh.read(_BLOCK_BYTES):
+            block = bytearray(block)
+            block += fh.readline()  # to the end of the line
+            parsed = _parse_block(block, len(header) - 1, limit)
+            if parsed is None:
+                break
+            cells.append(parsed[0])
+            ids.append(parsed[1])
+            start, records = fh.tell(), records + parsed[2]
+        else:
+            start = None  # the block parser read it all
+    if start is not None:
+        fh.seek(start)
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:  # closes fh too
+            rows = csv.reader(text)
+            if header is None:
+                header = next(rows, None)
+                if header is None:
+                    raise VoteDataError(f"{name}: empty file")
+                judges, has_gold = _header(header, name)
+            for block_cells, block_ids in _csv_blocks(rows, header, records + 1, name):
+                cells.append(block_cells)
+                ids.append(block_ids)
     n = sum(map(len, ids))
     if n == 0:
-        return None
+        raise VoteDataError(f"{name}: no data rows")
     k = len(judges)
     votes = np.concatenate([c[:k].T for c in cells], out=np.empty((n, k), dtype=np.int8))
     gold = np.concatenate([c[-1] for c in cells]) if has_gold else None
@@ -213,13 +219,30 @@ def _plain(raw) -> bool:
     return not any(c in raw for c in (b'"', b"\r", b"\0", b"\xff"))
 
 
-def _parse_block(block: bytearray, n_cells: int, limit: int) -> tuple[np.ndarray, list[str]] | None:
-    """The cells (``n_cells`` x lines, int8) and ids of a block of whole lines, or None.
+def _plain_header(line: bytes, limit: int) -> list[str] | None:
+    """The fields of header ``line`` split on commas, or None unless csv.reader provably splits it so."""
+    line = line.replace(b"\r\n", b"\n")
+    if not line.endswith(b"\n") or len(line) > limit or not _plain(line):
+        return None
+    try:
+        return line[:-1].decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
 
-    None unless every non-blank line is ``<id>,<c>,...,<c>`` with ``n_cells``
-    cells 0 or 1 and the ids are UTF-8 (see :func:`_parse_votes_fast`).
-    ``block`` is overwritten.
+
+def _parse_block(block: bytearray, n_cells: int, limit: int) -> tuple[np.ndarray, list[str], int] | None:
+    """The cells (``n_cells`` x rows, int8), ids and line count of a block of whole lines, or None.
+
+    Accepts only what ``csv.reader`` provably splits on commas and line ends
+    alone: valid UTF-8 with no quote, NUL or CR other than in ``\\r\\n``, no
+    line as long as the csv field limit, and every non-blank line
+    ``<id>,<c>,...,<c>`` with ``n_cells`` cells 0 or 1. The block's comma
+    count must then equal its lines * ``n_cells``, so no id holds a comma.
+    Anything else, malformed or merely unusual, returns None and is left to
+    ``csv.reader``. ``block`` may be overwritten.
     """
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
     if not _plain(block):
         return None
     terminated = block.endswith(b"\n")
@@ -228,6 +251,7 @@ def _parse_block(block: bytearray, n_cells: int, limit: int) -> tuple[np.ndarray
     if not terminated:
         ends = np.append(ends, len(block))
     lengths = np.diff(ends, prepend=-1) - 1
+    lines = len(ends)  # csv.reader's records, blank lines included
     # csv.reader yields [] for a blank line; both parsers skip it.
     buf[ends[lengths == 0]] = 0xFF
     ends, lengths = ends[lengths > 0], lengths[lengths > 0]
@@ -256,7 +280,42 @@ def _parse_block(block: bytearray, n_cells: int, limit: int) -> tuple[np.ndarray
         return None
     if terminated:
         ids.pop()
-    return cells.view(np.int8), ids
+    return cells.view(np.int8), ids, lines
+
+
+_BITS = frozenset("01")
+
+
+def _csv_blocks(rows, header: list[str], lineno: int, name: str):
+    """The cells and ids of ``csv.reader`` ``rows`` in blocks of ``_CHUNK_ROWS``, shaped as :func:`_parse_block`'s.
+
+    ``lineno`` is the record number of the first row. A row whose width is
+    not the header's, or a cell that is not 0 or 1, is a VoteDataError that
+    names its row (blank records counted) and column.
+    """
+    width, columns = len(header), header[1:]
+    cells, ids = [], []
+    for lineno, row in enumerate(rows, start=lineno):
+        if not row:
+            continue
+        if len(row) != width:
+            raise VoteDataError(f"{name}: row {lineno} has {len(row)} cells, expected {width}")
+        tail = row[1:]
+        if not _BITS.issuperset(tail):
+            col, cell = next((col, cell) for col, cell in zip(columns, tail) if cell not in _BITS)
+            raise VoteDataError(f"{name}: row {lineno}, column '{col}': expected 0 or 1, got {cell!r}")
+        ids.append(row[0])
+        cells += tail
+        if len(ids) == _CHUNK_ROWS:
+            yield _cell_block(cells, width - 1), ids
+            cells, ids = [], []
+    if ids:
+        yield _cell_block(cells, width - 1), ids
+
+
+def _cell_block(cells: list[str], n_cells: int) -> np.ndarray:
+    """Cells ``"0"``/``"1"`` listed row by row as an ``n_cells`` x rows int8 array."""
+    return (np.frombuffer("".join(cells).encode("ascii"), dtype=np.int8) - ord("0")).reshape(-1, n_cells).T
 
 
 def _header(fields: list[str], name: str) -> tuple[list[str], bool]:
@@ -268,42 +327,6 @@ def _header(fields: list[str], name: str) -> tuple[list[str], bool]:
     if not judges:
         raise VoteDataError(f"{name}: no judge columns found")
     return judges, has_gold
-
-
-def _parse_votes(fh, name: str) -> VoteMatrix:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise VoteDataError(f"{name}: empty file") from None
-    judges, has_gold = _header(header, name)
-    width = len(header)
-    ids, rows, gold = [], [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise VoteDataError(f"{name}: row {lineno} has {len(row)} cells, expected {width}")
-        ids.append(row[0])
-        cells = row[1:-1] if has_gold else row[1:]
-        parsed = []
-        for col, cell in zip(judges, cells):
-            if cell not in ("0", "1"):
-                raise VoteDataError(f"{name}: row {lineno}, column '{col}': expected 0 or 1, got {cell!r}")
-            parsed.append(int(cell))
-        rows.append(parsed)
-        if has_gold:
-            if row[-1] not in ("0", "1"):
-                raise VoteDataError(f"{name}: row {lineno}, column 'label': expected 0 or 1, got {row[-1]!r}")
-            gold.append(int(row[-1]))
-    if not rows:
-        raise VoteDataError(f"{name}: no data rows")
-    return VoteMatrix(
-        votes=np.array(rows, dtype=np.int8),
-        item_ids=tuple(ids),
-        judge_names=tuple(judges),
-        gold_labels=np.array(gold, dtype=np.int8) if has_gold else None,
-    )
 
 
 def save_votes(v: VoteMatrix, path: str) -> None:
@@ -329,7 +352,6 @@ def _write_votes(fh, v: VoteMatrix) -> None:
 # Characters that can make csv.writer quote a field; ids holding any of them
 # are formatted by csv.writer itself.
 _NEEDS_QUOTING = re.compile(r'[,"\r\n]')
-_CHUNK_ROWS = 1 << 16
 
 
 def write_csv_rows(fh, header: list[str], ids, tails) -> None:

@@ -10,11 +10,14 @@ where it ran:
 - ``simulate`` for every generator;
 - ``fit`` for all five models, then ``predict`` with each saved model on
   other votes;
+- ``fit`` and ``predict`` on copies of a simulated file with CRLF line ends
+  and with its first id quoted, which read as the same votes;
 - ``evaluate`` over all five models;
 - ``reproduce`` for every target, with ``--out``;
 - inputs known to exit 2 (bad counts and flags, flags a generator does not
   read, non-finite EM settings, malformed or mismatched votes and model
-  files, unknown names, non-finite or overflowing generator parameters,
+  files, vote files with an id over the csv field limit or bytes that are
+  not UTF-8, unknown names, non-finite or overflowing generator parameters,
   negative seeds, and a seed given to a reproduce target that reads none).
 
 Warnings are recorded per command and hashed as category and text, without
@@ -27,8 +30,10 @@ pinned to one thread and compare:
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -48,6 +53,13 @@ MALFORMED_MODELS = {
                             '"beta": [0.7, 0.7, 0.7, 0.7, 0.7, 0.7]}',
 }
 
+# Copies of ci-setup-2.csv that csv.reader reads as the same votes, by file
+# name; each is written as soon as that file exists.
+COPIES = {
+    "ci-setup-2-crlf.csv": lambda raw: raw.replace(b"\n", b"\r\n"),
+    "ci-setup-2-quoted.csv": lambda raw: re.sub(rb"\n([^,]*)", rb'\n"\1"', raw, count=1),
+}
+
 GENERATORS = ("ci-setup-1", "ci-setup-2", "ci-setup-3", "ci-setup-4", "shared-demo", "classdep-demo", "cw", "factor")
 
 
@@ -61,6 +73,9 @@ def commands():
     for model in cli.MODELS:
         yield ["predict", "--votes", "factor.csv", "--model-file", f"fit-{model}/model.json",
                "--out", f"predict-{model}.csv"]
+    for name in COPIES:
+        yield ["fit", "--votes", name, "--model", "ci", "--out", f"fit-{name}"]
+        yield ["predict", "--votes", name, "--model-file", "fit-ci/model.json", "--out", f"predict-{name}"]
     yield ["evaluate", "--votes", "ci-setup-3.csv", "--models", ",".join(cli.MODELS), "--trials", "3",
            "--num-judges", "4", "--seed", "2", "--out", "evaluate.json"]
     for name in cli.REPRODUCE_NAMES:
@@ -76,6 +91,9 @@ def commands():
     yield ["fit", "--votes", "missing.csv", "--model", "ci", "--out", "bad"]
     yield ["fit", "--votes", "empty.csv", "--model", "ci", "--out", "bad"]
     yield ["fit", "--votes", "ragged.csv", "--model", "ci", "--out", "bad"]
+    for name in ("long-id.csv", "not-utf-8.csv"):
+        yield ["fit", "--votes", name, "--model", "ci", "--out", "bad"]
+        yield ["predict", "--votes", name, "--model-file", "fit-ci/model.json", "--out", "bad.csv"]
     yield ["fit", "--votes", "ci-setup-2.csv", "--model", "ci", "--tol", "0", "--out", "bad"]
     for flag, value in (("--prior-a", "nan"), ("--prior-b", "inf"), ("--tol", "nan")):
         yield ["fit", "--votes", "ci-setup-2.csv", "--model", "ci", flag, value, "--out", "bad"]
@@ -93,6 +111,7 @@ def commands():
     yield ["reproduce", "no-such-target"]
     for gen, flags in (("cw", ("--beta0", "nan")), ("cw", ("--h0", "nan")), ("cw", ("--c1", "nan")),
                        ("cw", ("--beta1", "inf")), ("cw", ("--c1", "inf")), ("cw", ("--beta1", "1e308")),
+                       ("cw", ("-n", "3", "--pi", "0.01", "--beta1", "1e308")),
                        ("factor", ("--sigma2", "inf")), ("factor", ("--lam", "0", "--sigma2", "inf"))):
         yield ["simulate", "--generator", gen, *flags, "--out", "bad.csv"]
     yield ["simulate", "--generator", "ci-setup-1", "--seed", "-1", "--out", "bad.csv"]
@@ -131,9 +150,15 @@ def main() -> None:
             (root / "empty.csv").write_text("")
             (root / "ragged.csv").write_text("item,j1,j2\na,1,0\nb,1\n")
             (root / "unlabeled.csv").write_text("item,j1,j2\na,1,0\nb,0,0\nc,1,1\n")
+            (root / "long-id.csv").write_text(f"item,j1\n{'x' * (csv.field_size_limit() + 1)},1\n")
+            (root / "not-utf-8.csv").write_bytes(b"item,j1\na,1\nb\xff,0\n")
             for name, text in MALFORMED_MODELS.items():
                 (root / name).write_text(text)
             for args in commands():
+                source = root / "ci-setup-2.csv"
+                for name, copy in COPIES.items():
+                    if source.exists() and not (root / name).exists():
+                        (root / name).write_bytes(copy(source.read_bytes()))
                 before = _snapshot(root)
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")

@@ -11,6 +11,7 @@ from judgeagg import (
     accuracy,
     ci_log_odds,
     em_fit_ci,
+    rng_from,
     sample_ci,
     umv_predict,
     wmv_predict,
@@ -86,6 +87,16 @@ class TestMajorityVotes:
         acc_w = accuracy(wmv_predict(p, v).hard_labels, v.gold_labels)
         acc_u = accuracy(umv_predict(v).hard_labels, v.gold_labels)
         assert acc_w >= acc_u
+
+    def test_sample_ci_draws_in_blocks_the_stream_of_one_draw(self):
+        # Over three row blocks, the votes equal one n x K draw from the same generator.
+        p, n, seed = presets.CI_SETUPS[2], 2 * (1 << 16) + 5, 9
+        rng = rng_from(seed, 11)
+        y = (rng.random(n) < p.pi).astype(np.int8)
+        rates = np.where(y[:, None] == 1, p.alpha[None, :], 1.0 - p.beta[None, :])
+        v = sample_ci(p, n, seed)
+        assert np.array_equal(v.gold_labels, y)
+        assert np.array_equal(v.votes, (rng.random((n, p.k)) < rates).astype(np.int8))
 
     def test_umv_majority_and_minority(self):
         v = VoteMatrix(votes=np.array([[1, 1, 0], [0, 0, 1]]), item_ids=("a", "b"),

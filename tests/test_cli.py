@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -48,7 +49,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("args, message", [
         (("--pi", "1.5"), "pi must lie strictly inside (0,1)"),
-        (("--beta0", "-1"), "beta must be positive"),
+        (("--beta0", "-1"), "--beta0 must be positive"),
+        (("--beta1", "0"), "--beta1 must be positive"),
     ])
     def test_cw_rejects_invalid_inputs(self, runner, tmp_path, args, message):
         res = runner.invoke(main, ["simulate", "--generator", "cw", "--out", str(tmp_path / "cw.csv"), *args])
@@ -57,12 +59,16 @@ class TestSimulate:
         assert not (tmp_path / "cw.csv").exists()
 
     @pytest.mark.parametrize("generator, args, message", [
-        ("cw", ("--beta0", "nan"), "beta must be finite"),
-        ("cw", ("--h0", "nan"), "field_value must be finite"),
-        ("cw", ("--c1", "nan"), "field_value must be finite"),
-        ("cw", ("--beta1", "inf"), "beta must be finite"),
-        ("cw", ("--c1", "inf"), "field_value must be finite"),
+        ("cw", ("--beta0", "nan"), "--beta0 must be finite"),
+        ("cw", ("--h0", "nan"), "--h0 must be finite"),
+        ("cw", ("--c1", "nan"), "--c1 must be finite"),
+        ("cw", ("--beta1", "inf"), "--beta1 must be finite"),
+        ("cw", ("--c1", "inf"), "--c1 must be finite"),
         ("cw", ("--beta1", "1e308"), "magnetization weights are not finite at K=10, beta=1e+308, h=0.0"),
+        ("cw", ("-n", "3", "--pi", "0.01", "--beta1", "1e308"),
+         "magnetization weights are not finite at K=10, beta=1e+308, h=0.0"),
+        ("cw", ("-n", "300", "--pi", "0.01", "--beta1", "1e308"),
+         "magnetization weights are not finite at K=10, beta=1e+308, h=0.0"),
         ("factor", ("--sigma2", "inf"), "sigma2_z must be finite"),
         ("factor", ("--lam", "0", "--sigma2", "inf"), "sigma2_z must be finite"),
     ], ids=lambda x: " ".join(x) if isinstance(x, tuple) else None)
@@ -126,6 +132,27 @@ def test_negative_seed_exits_2(runner, tmp_path, args):
     res = runner.invoke(main, [fill.get(a, a) for a in args] + ["--seed", "-1"])
     assert res.exit_code == 2, res.output
     assert res.stderr == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"item,j1\n" + b"x" * (csv.field_size_limit() + 1) + b",1\n", "field larger than field limit"),
+    (b"item,j1\na,1\nb\xff,0\n", "'utf-8' codec can't decode byte 0xff"),
+], ids=["id-over-the-csv-field-limit", "invalid-utf-8"])
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_unreadable_vote_file_exits_2(runner, tmp_path, command, raw, message):
+    bad = tmp_path / "votes.csv"
+    bad.write_bytes(raw)
+    out = tmp_path / "out"
+    if command == "fit":
+        args = ["fit", "--votes", str(bad), "--model", "ci", "--out", str(out)]
+    else:
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"model": "ci", "pi": 0.5, "alpha": [0.7], "beta": [0.7]}))
+        args = ["predict", "--votes", str(bad), "--model-file", str(model), "--out", str(out)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith(f"error: {bad}: {message}")
     assert not out.exists()
 
 

@@ -1,6 +1,11 @@
 import csv
+import gc
 import io
+import re
+import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ from judgeagg import (
     split,
 )
 from judgeagg.cli import _write_posteriors
-from judgeagg.data import _parse_votes, _parse_votes_fast, dumps_votes
+from judgeagg.data import _header, dumps_votes
 
 
 def write(tmp_path, text, name="votes.csv"):
@@ -65,6 +70,25 @@ class TestLoadVotes:
     def test_header_only(self, tmp_path):
         with pytest.raises(VoteDataError, match="no data rows"):
             load_votes(write(tmp_path, "item,j1\n"))
+
+    @pytest.mark.parametrize("text", ['item,j1\n"a",1\n', "", "item,j1\na,2\n"], ids=["quoted", "empty", "bad-cell"])
+    def test_leaves_no_file_open(self, tmp_path, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                load_votes(write(tmp_path, text))
+            except VoteDataError:
+                pass
+            gc.collect()
+        assert not caught
+
+    def test_reads_under_the_largest_csv_field_limit(self, tmp_path):
+        previous = csv.field_size_limit(sys.maxsize)
+        try:
+            v = load_votes(write(tmp_path, 'item,j1\nab,1\n"c",0\n'))
+        finally:
+            csv.field_size_limit(previous)
+        assert v.item_ids == ("ab", "c") and v.votes.tolist() == [[1], [0]]
 
     def test_round_trip_100_random_matrices(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -238,9 +262,37 @@ def make_csv_bytes(pick) -> bytes:
 
 
 def reference_parse(raw: bytes, name: str):
-    """csv.reader's verdict on ``raw``: a VoteMatrix or the exception it raises."""
+    """csv.reader's verdict on the whole of ``raw``, row by row: a VoteMatrix or the exception it raises."""
     try:
-        return _parse_votes(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""), name)
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise VoteDataError(f"{name}: empty file") from None
+        judges, has_gold = _header(header, name)
+        width = len(header)
+        ids, rows, gold = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise VoteDataError(f"{name}: row {lineno} has {len(row)} cells, expected {width}")
+            ids.append(row[0])
+            cells = row[1:-1] if has_gold else row[1:]
+            parsed = []
+            for col, cell in zip(judges, cells):
+                if cell not in ("0", "1"):
+                    raise VoteDataError(f"{name}: row {lineno}, column '{col}': expected 0 or 1, got {cell!r}")
+                parsed.append(int(cell))
+            rows.append(parsed)
+            if has_gold:
+                if row[-1] not in ("0", "1"):
+                    raise VoteDataError(f"{name}: row {lineno}, column 'label': expected 0 or 1, got {row[-1]!r}")
+                gold.append(int(row[-1]))
+        if not rows:
+            raise VoteDataError(f"{name}: no data rows")
+        return VoteMatrix(votes=np.array(rows, dtype=np.int8), item_ids=tuple(ids), judge_names=tuple(judges),
+                          gold_labels=np.array(gold, dtype=np.int8) if has_gold else None)
     except (VoteDataError, UnicodeDecodeError, csv.Error) as exc:
         return exc
 
@@ -254,21 +306,26 @@ def same_matrix(v: VoteMatrix, w: VoteMatrix) -> bool:
 
 
 def assert_load_agrees(raw: bytes, path: Path) -> bool:
-    """load_votes equals the row-wise parser on ``raw``; returns whether the fast path took it."""
+    """load_votes agrees with the reference on ``raw``; returns whether the block parser alone built the matrix.
+
+    Where the reference raises csv.Error or UnicodeDecodeError, load_votes
+    must raise a VoteDataError that names the file; every other verdict must
+    be the same matrix or the same error text.
+    """
     path.write_bytes(raw)
     expected = reference_parse(raw, str(path))
-    fast = _parse_votes_fast(io.BytesIO(raw))
-    try:
-        got = load_votes(str(path))
-    except (VoteDataError, UnicodeDecodeError, csv.Error) as exc:
-        got = exc
-    if isinstance(expected, Exception):
-        assert fast is None, raw
+    with mock.patch.object(csv, "reader", wraps=csv.reader) as row_parser:
+        try:
+            got = load_votes(str(path))
+        except VoteDataError as exc:
+            got = exc
+    if isinstance(expected, (csv.Error, UnicodeDecodeError)):
+        assert isinstance(got, VoteDataError) and str(got).startswith(f"{path}: "), raw
+    elif isinstance(expected, Exception):
         assert type(got) is type(expected) and str(got) == str(expected), raw
     else:
         assert isinstance(got, VoteMatrix) and same_matrix(got, expected), raw
-        assert fast is None or same_matrix(fast, expected), raw
-    return fast is not None
+    return isinstance(got, VoteMatrix) and not row_parser.called
 
 
 @pytest.fixture(scope="module")
@@ -294,20 +351,21 @@ class TestFastParser:
         "item,j1\n\n,1\n\n\n x ,0",
         "item,a,b\né,0,1\n日本,1,1\n",
         "item,j1\n\x0bv\x85\u2028,1\n",
-    ], ids=["labelled", "blank-lines-empty-id-no-final-newline", "non-ascii-ids", "unicode-line-breaks-in-id"])
+        "item,j1\r\na,1\r\n",
+    ], ids=["labelled", "blank-lines-empty-id-no-final-newline", "non-ascii-ids", "unicode-line-breaks-in-id",
+            "crlf"])
     def test_takes_plain_files(self, text, scratch_csv):
         assert assert_load_agrees(text.encode("utf-8"), scratch_csv)
 
     @pytest.mark.parametrize("text", [
         'item,j1\n"a",1\n',
-        "item,j1\r\na,1\r\n",
         "item,j1\na,b,1\n",
         "item,j1\na,2\n",
         "item,j1,j2\na,1,0\n0,1\n",
         "item,,,,,,,\n1\n",
         "item,j1\n",
         "",
-    ], ids=["quoted", "crlf", "comma-in-id", "bad-cell", "short-row", "short-row-under-long-header",
+    ], ids=["quoted", "comma-in-id", "bad-cell", "short-row", "short-row-under-long-header",
             "header-only", "empty"])
     def test_leaves_other_files_to_the_row_parser(self, text, scratch_csv):
         assert not assert_load_agrees(text.encode("utf-8"), scratch_csv)
@@ -315,6 +373,17 @@ class TestFastParser:
     def test_line_at_the_csv_field_limit_goes_row_by_row(self, scratch_csv):
         item = "x" * csv.field_size_limit()
         assert not assert_load_agrees(f"item,j1\n{item},1\n".encode(), scratch_csv)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"item,j1\n" + b"x" * (csv.field_size_limit() + 1) + b",1\n", "field larger than field limit"),
+        (b"item,j1\na,1\nb\xff,0\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"item,j\xc3\n", "'utf-8' codec can't decode byte 0xc3"),
+    ], ids=["id-over-the-csv-field-limit", "invalid-utf-8-in-an-id", "invalid-utf-8-in-the-header"])
+    def test_unreadable_bytes_are_a_vote_data_error_naming_the_file(self, raw, message, scratch_csv):
+        assert isinstance(reference_parse(raw, str(scratch_csv)), (csv.Error, UnicodeDecodeError))
+        assert_load_agrees(raw, scratch_csv)
+        with pytest.raises(VoteDataError, match=f"^{re.escape(str(scratch_csv))}: {re.escape(message)}"):
+            load_votes(str(scratch_csv))
 
 
 class TestFastParserInBlocks(TestFastParser):
@@ -326,8 +395,10 @@ class TestFastParserInBlocks(TestFastParser):
 
     @pytest.fixture(scope="class", autouse=True, params=[1, 16, 4096])
     def block_bytes(self, request):
+        # Three-row chunks put rows on the chunk boundaries of csv.reader's path too.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("judgeagg.data._BLOCK_BYTES", request.param)
+            mp.setattr("judgeagg.data._CHUNK_ROWS", 3)
             yield request.param
 
     @pytest.mark.parametrize("raw, fast", [
@@ -338,8 +409,17 @@ class TestFastParserInBlocks(TestFastParser):
         (b"item,j1,label\nabcdefghijkl,1,0\nb,0,1", True),
         (("item,j1\n" + "é,1\n日本,0\n" * 9 + "\U0001f600,1\n").encode("utf-8"), True),
         (b"item,j1\n" + "é,1\n".encode("utf-8") * 5 + b"\xc3,0\n", False),
+        (b"item,j1,label\r\na,1,0\r\n\r\nbb,0,1\r\nccc,1,1\r\n", True),
+        (b"item,j1\r\na,1\nb,0\r\n\n\r\ncc,1\ndd,0", True),
+        (b"item,j1\na,1\rb,0\nc,1\n", False),
+        (b'item,j1,label\na,1,0\nb,0,1\n"c",1,1\nd,0,0\ne,1,0\n', False),
+        (b'item,j1\na,1\nb,0\n"x\ny",1\n"p\r\nq",0\n\nz,1\n', False),
+        (b'item,j1\na,1\n\nb,0\n"c",1\n\n\nd,2\n', False),
+        (b'"item",j1\na,1\nb,0\n', False),
     ], ids=["short-line-starts-a-block", "short-first-line", "blank-lines-at-boundaries", "blank-lines-end-the-file",
-            "unterminated-last-line", "multi-byte-ids-after-boundaries", "invalid-utf-8-after-boundaries"])
+            "unterminated-last-line", "multi-byte-ids-after-boundaries", "invalid-utf-8-after-boundaries",
+            "crlf", "mixed-line-ends", "lone-cr-mid-file", "quote-mid-file", "quoted-multi-line-ids",
+            "row-numbers-after-a-quote", "quoted-header"])
     def test_block_boundaries(self, raw, fast, scratch_csv):
         assert assert_load_agrees(raw, scratch_csv) is fast
 
