@@ -32,9 +32,9 @@ REPRODUCE_NAMES = ("ci-setups", "cw-separation-thm31", "cw-separation-thm32", "f
 _SEEDLESS_TARGETS = ("motivating-example", "motivating-example-classdep")  # exact enumerations: no --seed
 
 
-def _fail(message: str, code: int = 2):
+def _fail(message: str):
     click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    sys.exit(2)
 
 
 def _json_dumps(payload: dict) -> str:
@@ -65,7 +65,7 @@ def _ising_model(mode: str):
     from .ising import IsingParams, em_fit_ising
 
     return (lambda v, config: em_fit_ising(v, mode, config),
-            lambda p: json.loads(p.to_json()), lambda d: IsingParams.from_json(json.dumps(d)))
+            lambda p: json.loads(p.to_json()), IsingParams.from_payload)
 
 
 def _factor_model():
@@ -101,6 +101,11 @@ _MODELS = {
 MODELS = tuple(_MODELS)
 
 
+class _ModelFile(dict):
+    def __missing__(self, key):  # a field the model reads is not in the file
+        raise VoteDataError(f"model file lacks field {key!r}")
+
+
 def _saved_model_name(payload) -> str:
     """The model a ``model.json`` payload was written by: Ising payloads carry a mode, the rest a name."""
     if not isinstance(payload, dict):
@@ -115,7 +120,17 @@ def _saved_model_name(payload) -> str:
     raise VoteDataError("unrecognized model file")
 
 
-@click.group()
+class _Commands(click.Group):
+    """The one exit-2 boundary: an OSError or ValueError (VoteDataError, json.JSONDecodeError) is an input error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (OSError, ValueError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Commands)
 def main():
     """Aggregate binary judge votes with dependence-aware models."""
 
@@ -139,31 +154,28 @@ def _with_common(cmd):
 @_with_common
 def fit(votes_path, model, out, seed, **em_flags):
     """Fit a model by unsupervised EM and write posteriors plus a report."""
-    try:
-        v = load_votes(votes_path)
-        config = EMConfig(seed=seed, **em_flags)
-        fit_model, to_payload, _ = _MODELS[model]()
-        fitres = fit_model(v, config)
-        # Created only now, so a rejected input or a failed fit leaves no directory behind.
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        payload = to_payload(fitres.params)
-        trace_lines = [
-            f"iter {i}: objective={obj:.6f} loglik={ll:.6f}"
-            for i, (obj, ll) in enumerate(zip(fitres.trace.objective, fitres.trace.loglik))
-        ]
-        (outdir / "model.json").write_text(_json_dumps(payload) + "\n")
-        _write_posteriors(outdir / "posteriors.csv", v, fitres.posterior.gamma)
-        report = {"model": model, "seed": seed, "n": v.n, "K": v.k}
-        if v.gold_labels is not None:
-            report["accuracy"] = accuracy(fitres.posterior.hard_labels, v.gold_labels)
-        report["params"] = payload
-        (outdir / "report.json").write_text(_json_dumps(report) + "\n")
-        for line in trace_lines:
-            click.echo(line)
-        click.echo(f"wrote {outdir / 'model.json'}, {outdir / 'posteriors.csv'}, {outdir / 'report.json'}")
-    except (VoteDataError, OSError, ValueError) as exc:
-        _fail(str(exc))
+    v = load_votes(votes_path)
+    config = EMConfig(seed=seed, **em_flags)
+    fit_model, to_payload, _ = _MODELS[model]()
+    fitres = fit_model(v, config)
+    # Created only now, so a rejected input or a failed fit leaves no directory behind.
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    payload = to_payload(fitres.params)
+    trace_lines = [
+        f"iter {i}: objective={obj:.6f} loglik={ll:.6f}"
+        for i, (obj, ll) in enumerate(zip(fitres.trace.objective, fitres.trace.loglik))
+    ]
+    (outdir / "model.json").write_text(_json_dumps(payload) + "\n")
+    _write_posteriors(outdir / "posteriors.csv", v, fitres.posterior.gamma)
+    report = {"model": model, "seed": seed, "n": v.n, "K": v.k}
+    if v.gold_labels is not None:
+        report["accuracy"] = accuracy(fitres.posterior.hard_labels, v.gold_labels)
+    report["params"] = payload
+    (outdir / "report.json").write_text(_json_dumps(report) + "\n")
+    for line in trace_lines:
+        click.echo(line)
+    click.echo(f"wrote {outdir / 'model.json'}, {outdir / 'posteriors.csv'}, {outdir / 'report.json'}")
 
 
 @main.command()
@@ -172,15 +184,12 @@ def fit(votes_path, model, out, seed, **em_flags):
 @click.option("--out", type=click.Path(), default="predictions.csv", show_default=True)
 def predict(votes_path, model_file, out):
     """Score items under a previously fitted model."""
-    try:
-        v = load_votes(votes_path)
-        payload = json.loads(Path(model_file).read_text())
-        _, _, from_payload = _MODELS[_saved_model_name(payload)]()
-        post = _predict(from_payload(payload), v)
-        _write_posteriors(Path(out), v, post.gamma)
-        click.echo(f"wrote {out}")
-    except (VoteDataError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _fail(str(exc))
+    v = load_votes(votes_path)
+    payload = json.loads(Path(model_file).read_text(), object_hook=_ModelFile)
+    _, _, from_payload = _MODELS[_saved_model_name(payload)]()
+    post = _predict(from_payload(payload), v)
+    _write_posteriors(Path(out), v, post.gamma)
+    click.echo(f"wrote {out}")
 
 
 @main.command()
@@ -195,45 +204,42 @@ def predict(votes_path, model_file, out):
 @_with_common
 def evaluate(votes_path, models, trials, train_fraction, num_judges, out, seed, **em_flags):
     """Mean test accuracy and standard error over seeded train/test trials."""
-    try:
-        v = load_votes(votes_path)
-        if v.gold_labels is None:
-            raise VoteDataError("evaluate requires a gold label column")
-        model_list = [m.strip() for m in models.split(",") if m.strip()]
-        if not model_list:
-            raise VoteDataError("--models names no model")
+    v = load_votes(votes_path)
+    if v.gold_labels is None:
+        raise VoteDataError("evaluate requires a gold label column")
+    model_list = [m.strip() for m in models.split(",") if m.strip()]
+    if not model_list:
+        raise VoteDataError("--models names no model")
+    for m in model_list:
+        if m not in MODELS:
+            raise VoteDataError(f"unknown model {m!r}")
+    results = {m: [] for m in model_list}
+    for trial in range(trials):
+        trial_seed = int(rng_from(seed, 71, trial).integers(0, 2 ** 31))
+        sub = v
+        if num_judges is not None:
+            if not (1 <= num_judges <= v.k):
+                raise VoteDataError("--num-judges must be between 1 and K")
+            cols = rng_from(trial_seed, 73).choice(v.k, size=num_judges, replace=False)
+            sub = v.select_judges(np.sort(cols))
+        train, test = split(sub, SplitSpec(train_fraction=train_fraction, seed=trial_seed))
+        config = EMConfig(seed=trial_seed, **em_flags)
         for m in model_list:
-            if m not in MODELS:
-                raise VoteDataError(f"unknown model {m!r}")
-        results = {m: [] for m in model_list}
-        for trial in range(trials):
-            trial_seed = int(rng_from(seed, 71, trial).integers(0, 2 ** 31))
-            sub = v
-            if num_judges is not None:
-                if not (1 <= num_judges <= v.k):
-                    raise VoteDataError("--num-judges must be between 1 and K")
-                cols = rng_from(trial_seed, 73).choice(v.k, size=num_judges, replace=False)
-                sub = v.select_judges(np.sort(cols))
-            train, test = split(sub, SplitSpec(train_fraction=train_fraction, seed=trial_seed))
-            config = EMConfig(seed=trial_seed, **em_flags)
-            for m in model_list:
-                fit_model, _, _ = _MODELS[m]()
-                post = _predict(fit_model(train, config).params, test)
-                results[m].append(accuracy(post.hard_labels, test.gold_labels))
-        report = {"seed": seed, "n": v.n, "K": v.k, "trials": trials,
-                  "train_fraction": train_fraction,
-                  "num_judges": num_judges if num_judges is not None else v.k,
-                  "models": {}}
-        for m in model_list:
-            accs = np.array(results[m])
-            report["models"][m] = {"mean_accuracy": float(accs.mean()),
-                                   "se": float(accs.std() / np.sqrt(trials))}
-        text = _json_dumps(report)
-        if out:
-            Path(out).write_text(text + "\n")
-        click.echo(text)
-    except (VoteDataError, OSError, ValueError) as exc:
-        _fail(str(exc))
+            fit_model, _, _ = _MODELS[m]()
+            post = _predict(fit_model(train, config).params, test)
+            results[m].append(accuracy(post.hard_labels, test.gold_labels))
+    report = {"seed": seed, "n": v.n, "K": v.k, "trials": trials,
+              "train_fraction": train_fraction,
+              "num_judges": num_judges if num_judges is not None else v.k,
+              "models": {}}
+    for m in model_list:
+        accs = np.array(results[m])
+        report["models"][m] = {"mean_accuracy": float(accs.mean()),
+                               "se": float(accs.std() / np.sqrt(trials))}
+    text = _json_dumps(report)
+    if out:
+        Path(out).write_text(text + "\n")
+    click.echo(text)
 
 
 # The flags the cw and factor generators read besides -n, --seed and --out,
@@ -269,44 +275,39 @@ def simulate(ctx, generator, n_items, num_judges, beta0, beta1, h0, c1, pi, a, b
     read = {"generator", "n_items", "seed", "out", *_GENERATOR_FLAGS.get(generator, ())}
     for param in ctx.command.params:
         if param.name not in read and ctx.get_parameter_source(param.name) is click.core.ParameterSource.COMMANDLINE:
-            _fail(f"{param.opts[0]} is not read by the {generator} generator")
-    try:
-        if generator.startswith("ci-setup-"):
-            params = presets.CI_SETUPS[int(generator[-1])]
-            v = sample_ci(params, n_items, seed)
-        elif generator in ("shared-demo", "classdep-demo"):
-            from .ising import sample_labeled
+            raise VoteDataError(f"{param.opts[0]} is not read by the {generator} generator")
+    if generator.startswith("ci-setup-"):
+        params = presets.CI_SETUPS[int(generator[-1])]
+        v = sample_ci(params, n_items, seed)
+    elif generator in ("shared-demo", "classdep-demo"):
+        from .ising import sample_labeled
 
-            demo = presets.SHARED_DEMO if generator == "shared-demo" else presets.CLASSDEP_DEMO
-            v = sample_labeled(demo, n_items, seed)
-        elif generator == "cw":
-            from .curie_weiss import CWClassSpec, CWExperimentSpec, sample_labeled_cw
+        demo = presets.SHARED_DEMO if generator == "shared-demo" else presets.CLASSDEP_DEMO
+        v = sample_labeled(demo, n_items, seed)
+    elif generator == "cw":
+        from .curie_weiss import CWClassSpec, CWExperimentSpec, sample_labeled_cw
 
-            # Each class parameter is checked here, in CWClassSpec's order, so
-            # that its message names the flag; the spec checks the rest (pi, n).
-            for flag, value, coupling in (("--beta0", beta0, True), ("--h0", h0, False),
-                                          ("--beta1", beta1, True), ("--c1", c1, False)):
-                if coupling and value <= 0:
-                    raise VoteDataError(f"{flag} must be positive")
-                if not np.isfinite(value):
-                    raise VoteDataError(f"{flag} must be finite")
-            spec = CWExperimentSpec(
-                pi=pi,
-                class0=CWClassSpec(beta=beta0, field_mode="constant", field_value=h0),
-                class1=CWClassSpec(beta=beta1, field_mode="scaled", field_value=c1),
-                k_grid=(num_judges,), n=n_items, threshold=0.5, seed=seed)
-            y, spins = sample_labeled_cw(spec, num_judges, rng_from(seed, 79), (seed * 4 + 1, seed * 4 + 2))
-            v = simulated_votes(((spins + 1) // 2).astype(np.int8), y)
-        elif generator == "factor":
-            from .factor import FactorParams, sample_factor
+        # Each class parameter is checked here, in CWClassSpec's order, so
+        # that its message names the flag; the spec checks the rest (pi, n).
+        for flag, value, coupling in (("--beta0", beta0, True), ("--h0", h0, False),
+                                      ("--beta1", beta1, True), ("--c1", c1, False)):
+            if coupling and value <= 0:
+                raise VoteDataError(f"{flag} must be positive")
+            if not np.isfinite(value):
+                raise VoteDataError(f"{flag} must be finite")
+        spec = CWExperimentSpec(
+            pi=pi,
+            class0=CWClassSpec(beta=beta0, field_mode="constant", field_value=h0),
+            class1=CWClassSpec(beta=beta1, field_mode="scaled", field_value=c1),
+            k_grid=(num_judges,), n=n_items, threshold=0.5, seed=seed)
+        y, spins = sample_labeled_cw(spec, num_judges, rng_from(seed, 79), (seed * 4 + 1, seed * 4 + 2))
+        v = simulated_votes(((spins + 1) // 2).astype(np.int8), y)
+    else:  # factor
+        from .factor import FactorParams, sample_factor
 
-            v = sample_factor(FactorParams(pi=pi, a=a, b=b, lam=lam, sigma2_z=sigma2), num_judges, n_items, seed)
-        else:
-            raise VoteDataError(generator)
-        save_votes(v, out)
-        click.echo(f"wrote {out} ({v.n} items, {v.k} judges)")
-    except (VoteDataError, OSError, ValueError) as exc:
-        _fail(str(exc))
+        v = sample_factor(FactorParams(pi=pi, a=a, b=b, lam=lam, sigma2_z=sigma2), num_judges, n_items, seed)
+    save_votes(v, out)
+    click.echo(f"wrote {out} ({v.n} items, {v.k} judges)")
 
 
 def _cell(value) -> str:
@@ -322,13 +323,10 @@ def _cell(value) -> str:
 def reproduce(name, seed, out):
     """Re-run a built-in experiment and check its reference values."""
     if seed is not None and name in _SEEDLESS_TARGETS:
-        _fail(f"--seed is not read by the {name} target")
+        raise VoteDataError(f"--seed is not read by the {name} target")
     from .reproduce import REPRODUCE_TARGETS
 
-    try:
-        checks, tables = REPRODUCE_TARGETS[name](seed)
-    except (VoteDataError, OSError, ValueError) as exc:
-        _fail(str(exc))
+    checks, tables = REPRODUCE_TARGETS[name](seed)
     for table_name, rows in tables.items():
         if len(rows) <= 12:
             click.echo(table_name + ":")

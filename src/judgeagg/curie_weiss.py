@@ -172,6 +172,11 @@ class CWClassSpec:
     def field_at(self, k: int) -> float:
         return self.field_value / k if self.field_mode == "scaled" else self.field_value
 
+    @property
+    def field_limit(self) -> float:
+        """The per-spin field as K -> infinity: a scaled field c/K vanishes."""
+        return 0.0 if self.field_mode == "scaled" else self.field_value
+
 
 def true_marginals(spec: CWClassSpec, k: int) -> float:
     """Exact finite-K vote-1 marginal q = (1 + E[M_K]) / 2."""
@@ -181,18 +186,17 @@ def true_marginals(spec: CWClassSpec, k: int) -> float:
 def marginal_limit(spec: CWClassSpec) -> float:
     """The K -> infinity limit of the vote-1 marginal.
 
-    Scaled fields: for beta > 1 the magnetization settles into the +-m* phase
-    mixture with weight p = sigma(2 c m*), giving (1 + (2p-1) m*)/2; for
-    beta < 1 it concentrates at 0. Constant fields: the marginal follows the
-    mean-field root that maximizes the free-energy functional.
+    A scaled field with beta > 1: the magnetization settles into the +-m*
+    phase mixture with weight p = sigma(2 c m*), giving (1 + (2p-1) m*)/2.
+    Otherwise the marginal follows the mean-field root, under the limiting
+    field :attr:`CWClassSpec.field_limit`, that maximizes the free-energy
+    functional; for a scaled field that root is 0.
     """
-    if spec.field_mode == "scaled":
-        if spec.beta > 1:
-            mstar = positive_root(spec.beta)
-            p = expit(2.0 * spec.field_value * mstar)
-            return 0.5 * (1.0 + (2.0 * p - 1.0) * mstar)
-        return 0.5
-    h = spec.field_value
+    if spec.field_mode == "scaled" and spec.beta > 1:
+        mstar = positive_root(spec.beta)
+        p = expit(2.0 * spec.field_value * mstar)
+        return 0.5 * (1.0 + (2.0 * p - 1.0) * mstar)
+    h = spec.field_limit
     roots = solve_mean_field(spec.beta, h)
 
     def free_energy(m):
@@ -250,22 +254,23 @@ def auto_threshold(spec: CWExperimentSpec) -> float:
     """Default thresholds for the magnetization statistic.
 
     Squared statistic: t = m*^2 / 2, the midpoint of the admissible (0, m*^2)
-    band. Absolute statistic: t = (|m0| + m*)/2, which requires the
-    separation condition m* > 1 - 2 q0 linking the low-temperature
-    magnetization to the high-temperature marginal.
+    band. Absolute statistic: t = (|m0| + m*)/2, where m0 is class 0's
+    unique mean-field root under its limiting field
+    (:attr:`CWClassSpec.field_limit`). It requires the separation condition
+    m* > 1 - 2 q0 linking the low-temperature magnetization to the
+    high-temperature marginal q0 = (1 + m0)/2, that is m* > -m0.
     """
     mstar = positive_root(spec.class1.beta)
     if spec.statistic == "squared":
         return 0.5 * mstar ** 2
-    roots = solve_mean_field(spec.class0.beta, spec.class0.field_value)
+    roots = solve_mean_field(spec.class0.beta, spec.class0.field_limit)
     if len(roots) != 1:
         raise ValueError("auto threshold expects a unique high-temperature root for class 0")
     m0 = roots[0]
-    q0 = marginal_limit(spec.class0)
-    if not (mstar > 1.0 - 2.0 * q0):
+    if not (mstar > -m0):
         raise ValueError(
             f"separation condition m_star > 1 - 2*q0 violated "
-            f"(m_star={mstar:.4f}, 1-2*q0={1 - 2 * q0:.4f}); supply an explicit threshold"
+            f"(m_star={mstar:.4f}, 1-2*q0={-m0:.4f}); supply an explicit threshold"
         )
     return 0.5 * (abs(m0) + mstar)
 

@@ -167,8 +167,30 @@ def load_votes(path: str) -> VoteMatrix:
     with open(path, "rb") as fh:
         try:
             return _read_votes(fh, path)
-        except (csv.Error, UnicodeDecodeError) as exc:
+        except csv.Error as exc:
             raise VoteDataError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise VoteDataError(f"{path}: {_where_not_utf8(path, exc)}") from None
+
+
+def _where_not_utf8(path: str, exc: UnicodeDecodeError) -> str:
+    """``exc`` restated with the line and file offset of the first bytes of ``path`` that are not UTF-8.
+
+    The decoder's own position counts from the start of its current read.
+    ``exc`` is returned as it is if the file has changed and decodes now.
+    """
+    offset = 0
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            # No UTF-8 sequence holds a newline byte, so each line decodes alone.
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                found = " ".join(f"0x{c:02x}" for c in bad.object[bad.start:bad.end])
+                return (f"'utf-8' codec can't decode byte{'s' * (bad.end - bad.start > 1)} {found} "
+                        f"on line {lineno}, at file offset {offset + bad.start}: {bad.reason}")
+            offset += len(line)
+    return str(exc)
 
 
 def _read_votes(fh, name: str) -> VoteMatrix:

@@ -40,11 +40,17 @@ class PseudoFitError(RuntimeError):
         self.best_w = w
 
 
+def _check_mode(mode) -> None:
+    """em_fit_ising fits, and IsingParams.from_payload loads, these two coupling modes alone."""
+    if mode not in ("class_dependent", "class_independent"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def _check_coupling(w: np.ndarray, name: str) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
-    if not np.allclose(w, w.T, atol=0, rtol=0):
+    if not np.array_equal(w, w.T):
         raise ValueError(f"{name} must be exactly symmetric")
     if np.any(np.diag(w) != 0.0):
         raise ValueError(f"{name} must have a zero diagonal")
@@ -120,7 +126,12 @@ class IsingParams:
 
     @staticmethod
     def from_json(text: str) -> "IsingParams":
-        d = json.loads(text)
+        return IsingParams.from_payload(json.loads(text))
+
+    @staticmethod
+    def from_payload(d) -> "IsingParams":
+        """The parameters of a :meth:`to_json` object read as a mapping."""
+        _check_mode(d["mode"])
         return IsingParams(
             pi=d["pi"],
             h0=np.array(d["h0"], dtype=float),
@@ -331,7 +342,9 @@ def _unpack(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _field_prior(h: np.ndarray, a: float, b: float) -> tuple[float, np.ndarray, np.ndarray]:
     # Beta(a,b) on each sigma(h_j): keeps fields finite under degenerate
-    # weights and makes the K=1 model collapse exactly onto the CI fitter.
+    # weights. For class 0, sigma(h_j) is P(J=1 | Y=0), while the CI fitter
+    # puts Beta(a,b) on the specificity P(J=0 | Y=0), so the K=1 model is the
+    # CI fitter's only when a = b.
     # A term whose exponent is 0 is left out: once sigma(h_j) rounds to 0 or
     # 1 (|h_j| past about 37) it would be 0 * log(0), which is NaN.
     # Returns the value, its gradient and its negated second derivative.
@@ -492,14 +505,14 @@ def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig 
     model's implied marginal weights, falling back to class balance. Every
     step runs over the distinct vote rows.
     """
-    if mode not in ("class_dependent", "class_independent"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     if v.k > K_MAX_EXACT:
         warnings.warn(f"exact evidence unavailable for K={v.k} (cutoff {K_MAX_EXACT}); "
                       "E-step falls back to pseudo-likelihood class scores")
     family = partial(_IsingModel, shared=mode == "class_independent")
-    # With a single judge no couplings exist and the model coincides with the
-    # CI fitter; run its single majority start (no CI warm start) so outputs agree.
+    # With a single judge no couplings exist and, when prior_a == prior_b, the
+    # model is the CI fitter's; run its single majority start (no CI warm
+    # start) so that the outputs then agree.
     return em.run(v, family, config, ci_fit=None if v.k == 1 else em_fit_ci)
 
 
@@ -529,8 +542,9 @@ class _IsingModel:
         design, a, b = self.design, self.a, self.b
         votes, k = design.votes, design.k
         if k == 1:
-            # No couplings exist: the weighted Bernoulli MAP has a closed form
-            # identical to the CI fitter's update, kept inside (0,1) as there.
+            # No couplings exist: the weighted Bernoulli MAP has a closed form,
+            # kept inside (0,1) as the CI fitter's update is. It is that update
+            # when a = b (see _field_prior).
             s1 = np.clip((a - 1.0 + w1 @ votes[:, 0]) / (a + b - 2.0 + w1.sum()), PI_EPS, 1.0 - PI_EPS)
             s0 = np.clip((a - 1.0 + w0 @ votes[:, 0]) / (a + b - 2.0 + w0.sum()), PI_EPS, 1.0 - PI_EPS)
             return np.array([np.log(s1 / (1 - s1))]), np.array([np.log(s0 / (1 - s0))])

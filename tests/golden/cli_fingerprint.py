@@ -16,9 +16,11 @@ where it ran:
 - ``reproduce`` for every target, with ``--out``;
 - inputs known to exit 2 (bad counts and flags, flags a generator does not
   read, non-finite EM settings, malformed or mismatched votes and model
-  files, vote files with an id over the csv field limit or bytes that are
-  not UTF-8, unknown names, non-finite or overflowing generator parameters,
-  negative seeds, and a seed given to a reproduce target that reads none).
+  files, model files that lack a field or name an unknown Ising mode, vote
+  files with an id over the csv field limit or bytes that are not UTF-8,
+  unknown names, non-finite or overflowing generator parameters, negative
+  seeds, a seed given to a reproduce target that reads none, and each
+  command's output path under a regular file).
 
 Warnings are recorded per command and hashed as category and text, without
 the file and line they were raised from. Run it at two commits with BLAS
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import os
 import re
 import tempfile
@@ -51,6 +54,9 @@ MALFORMED_MODELS = {
                                 '"b": [0, 0, 0, 0, 0, 0], "loadings": null}',
     "model-string-pi.json": '{"model": "ci", "pi": "0.5", "alpha": [0.7, 0.7, 0.7, 0.7, 0.7, 0.7], '
                             '"beta": [0.7, 0.7, 0.7, 0.7, 0.7, 0.7]}',
+    "model-missing-field.json": '{"model": "ci", "pi": 0.5, "beta": [0.7, 0.7, 0.7, 0.7, 0.7, 0.7]}',
+    "model-unknown-mode.json": json.dumps({"mode": "class_whatever", "pi": 0.5, "h0": [0] * 6, "h1": [1] * 6,
+                                           "W0": [[0] * 6] * 6, "W1": [[0] * 6] * 6}),
 }
 
 # Copies of ci-setup-2.csv that csv.reader reads as the same votes, by file
@@ -119,6 +125,11 @@ def commands():
     yield ["evaluate", "--votes", "ci-setup-3.csv", "--seed", "-1"]
     yield ["reproduce", "ci-setups", "--seed", "-1"]
     yield ["reproduce", "motivating-example", "--seed", "5", "--out", "reproduce-seeded"]
+    yield ["fit", "--votes", "ci-setup-2.csv", "--model", "ci", "--out", "afile/sub"]
+    yield ["predict", "--votes", "ci-setup-2.csv", "--model-file", "fit-ci/model.json", "--out", "afile/sub"]
+    yield ["evaluate", "--votes", "ci-setup-3.csv", "--trials", "1", "--out", "afile/sub"]
+    yield ["simulate", "--generator", "ci-setup-1", "--out", "afile/sub"]
+    yield ["reproduce", "motivating-example", "--out", "afile/sub"]
 
 
 def _snapshot(root: Path) -> dict[str, bytes]:
@@ -148,6 +159,7 @@ def main() -> None:
         os.chdir(root)
         try:
             (root / "empty.csv").write_text("")
+            (root / "afile").write_text("")
             (root / "ragged.csv").write_text("item,j1,j2\na,1,0\nb,1\n")
             (root / "unlabeled.csv").write_text("item,j1,j2\na,1,0\nb,0,0\nc,1,1\n")
             (root / "long-id.csv").write_text(f"item,j1\n{'x' * (csv.field_size_limit() + 1)},1\n")

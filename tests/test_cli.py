@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import importlib.util
@@ -156,6 +157,49 @@ def test_unreadable_vote_file_exits_2(runner, tmp_path, command, raw, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["fit", "--votes", "{votes}", "--model", "ci", "--out", "{out}"],
+    ["predict", "--votes", "{votes}", "--model-file", "{model}", "--out", "{out}"],
+    ["evaluate", "--votes", "{votes}", "--trials", "1", "--out", "{out}"],
+    ["simulate", "--generator", "ci-setup-1", "--out", "{out}"],
+    ["reproduce", "motivating-example", "--out", "{out}"],
+], ids=lambda args: args[0])
+def test_output_under_a_regular_file_exits_2(runner, tmp_path, args):
+    votes = simulate(runner, tmp_path, n=60)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"model": "umv"}))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    fill = {"{votes}": str(votes), "{model}": str(model), "{out}": str(afile / "sub")}
+    res = runner.invoke(main, [fill.get(a, a) for a in args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr == f"error: [Errno 20] Not a directory: '{afile / 'sub'}'\n"
+
+
+def test_no_command_catches_input_errors():
+    # The command group alone turns an OSError or ValueError into exit 2;
+    # a handler in a command would make a second, drifting copy of that rule.
+    from judgeagg import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(), filename=cli.__file__)
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and any("command" in ast.unparse(d) for d in node.decorator_list)]
+    assert sorted(c.name for c in commands) == sorted(main.commands)
+    for command in commands:
+        for node in ast.walk(command):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            if node.type is None:
+                caught = [BaseException]
+            else:
+                names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught = [eval(ast.unparse(name), vars(cli)) for name in names]
+            for exc in caught:
+                assert not (issubclass(exc, (OSError, ValueError)) or issubclass(OSError, exc)
+                            or issubclass(ValueError, exc)), f"{command.name}:{node.lineno} catches {exc.__name__}"
+
+
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
 def test_em_flags_mirror_em_config(command):
     # One flag per EMConfig field, named after it and defaulting to its default.
@@ -311,7 +355,13 @@ class TestPredict:
          '"loadings": [[1], [1], [1], [1], [1], [1]]}', "a must be finite"),
         (json.dumps({"mode": "class_dependent", "pi": 0.5, "h0": [float("inf")] + [0.0] * 5, "h1": [0.0] * 6,
                      "W0": [[0.0] * 6] * 6, "W1": [[0.0] * 6] * 6}), "h0 must be finite"),
-    ], ids=["list", "number", "string", "factor-null-loadings", "ci-string-pi", "factor-nan-a", "ising-inf-h0"])
+        ('{"model": "ci", "pi": 0.5, "beta": [0.7, 0.7, 0.7, 0.7, 0.7, 0.7]}', "model file lacks field 'alpha'"),
+        (json.dumps({"mode": "class_dependent", "pi": 0.5, "h0": [0.0] * 6, "h1": [0.0] * 6,
+                     "W0": [[0.0] * 6] * 6}), "model file lacks field 'W1'"),
+        (json.dumps({"mode": "class_whatever", "pi": 0.5, "h0": [0.0] * 6, "h1": [0.0] * 6,
+                     "W0": [[0.0] * 6] * 6, "W1": [[0.0] * 6] * 6}), "unknown mode 'class_whatever'"),
+    ], ids=["list", "number", "string", "factor-null-loadings", "ci-string-pi", "factor-nan-a", "ising-inf-h0",
+            "ci-missing-alpha", "ising-missing-w1", "ising-unknown-mode"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_model_file_exits_2(self, runner, tmp_path, payload, message):
         votes = simulate(runner, tmp_path, n=20)

@@ -17,7 +17,7 @@ from judgeagg import (
     true_marginals,
 )
 from judgeagg import presets
-from judgeagg.curie_weiss import magnetization_support, marginal_limit, positive_root
+from judgeagg.curie_weiss import auto_threshold, magnetization_support, marginal_limit, positive_root
 
 
 class TestMagnetizationPmf:
@@ -247,6 +247,18 @@ class TestRunSeparation:
             k_grid=(10,), n=10, statistic="absolute", seed=0)
         with pytest.raises(ValueError, match=r"m_star > 1 - 2\*q0"):
             run_separation(spec)
+
+    def test_auto_threshold_under_a_scaled_class0_field(self):
+        # A scaled field c/K vanishes as K grows, so class 0's limiting root is
+        # m0 = 0 (|E M| is 0.0099 at K = 200) and t = m*/2, not the root of
+        # m = tanh(beta m + c). The threshold from that root, 0.926, had a
+        # risk of 0.2195 and 0.063 at K = 50 and 200.
+        spec = CWExperimentSpec(
+            pi=0.7, class0=CWClassSpec(beta=0.5, field_mode="scaled", field_value=1.0),
+            class1=CWClassSpec(beta=2.0), k_grid=(50, 200), n=2000, statistic="absolute", seed=0)
+        assert marginal_limit(spec.class0) == 0.5
+        assert auto_threshold(spec) == pytest.approx(positive_root(2.0) / 2, abs=1e-12)
+        assert [row["risk_bayes"] for row in run_separation(spec)] == pytest.approx([0.0035, 0.0], abs=1e-12)
 
     def test_explicit_threshold_used(self):
         spec = CWExperimentSpec(pi=0.5, class0=CWClassSpec(beta=0.5),

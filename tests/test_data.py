@@ -378,7 +378,12 @@ class TestFastParser:
         (b"item,j1\n" + b"x" * (csv.field_size_limit() + 1) + b",1\n", "field larger than field limit"),
         (b"item,j1\na,1\nb\xff,0\n", "'utf-8' codec can't decode byte 0xff"),
         (b"item,j\xc3\n", "'utf-8' codec can't decode byte 0xc3"),
-    ], ids=["id-over-the-csv-field-limit", "invalid-utf-8-in-an-id", "invalid-utf-8-in-the-header"])
+        # Read by csv.reader from the quote on; the bad byte is past its first reads.
+        (b'item,j1\n"a",1\n' + b"b,0\n" * 5000 + b"c\xff,1\n",
+         "'utf-8' codec can't decode byte 0xff on line 5003, at file offset 20015: invalid start byte"),
+        (b"item,j1\na,1\nb\xe2\x82,0\n", "'utf-8' codec can't decode bytes 0xe2 0x82 on line 3, at file offset 13"),
+    ], ids=["id-over-the-csv-field-limit", "invalid-utf-8-in-an-id", "invalid-utf-8-in-the-header",
+            "invalid-utf-8-on-a-late-line", "truncated-utf-8-sequence"])
     def test_unreadable_bytes_are_a_vote_data_error_naming_the_file(self, raw, message, scratch_csv):
         assert isinstance(reference_parse(raw, str(scratch_csv)), (csv.Error, UnicodeDecodeError))
         assert_load_agrees(raw, scratch_csv)

@@ -447,6 +447,14 @@ class TestJsonRoundTrip:
         assert list(d.keys()) == ["mode", "pi", "h0", "h1", "W0", "W1"]
         assert d["mode"] == "class_independent"
 
+    def test_loads_only_the_modes_em_fit_ising_fits(self):
+        d = json.loads(presets.SHARED_DEMO.to_json())
+        d["mode"] = "class_whatever"
+        with pytest.raises(ValueError, match="unknown mode 'class_whatever'"):
+            IsingParams.from_json(json.dumps(d))
+        with pytest.raises(ValueError, match="unknown mode 'class_whatever'"):
+            em_fit_ising(sample_labeled(presets.SHARED_DEMO, 50, 0), "class_whatever")
+
 
 class TestSampler:
     def test_matches_enumeration_within_three_se(self):
@@ -472,13 +480,16 @@ def cw_vote_matrix(k, n, pi, seed):
 
 class TestEmFitIsing:
     def test_single_judge_matches_ci_fitter(self):
+        # Only under a symmetric prior: the Ising prior on class 0 is on
+        # P(J=1 | Y=0), the CI fitter's on the specificity P(J=0 | Y=0).
         v = __import__("judgeagg").sample_ci(
             CIParams(pi=0.6, alpha=np.array([0.8]), beta=np.array([0.75])), 500, 7)
-        fit_i = em_fit_ising(v, "class_dependent", EMConfig(seed=3))
-        fit_c = em_fit_ci(v, EMConfig(seed=3))
-        np.testing.assert_allclose(fit_i.posterior.gamma, fit_c.posterior.gamma, atol=1e-9)
-        assert expit(fit_i.params.h1[0]) == pytest.approx(float(fit_c.params.alpha[0]), abs=1e-9)
-        assert expit(-fit_i.params.h0[0]) == pytest.approx(float(fit_c.params.beta[0]), abs=1e-9)
+        for config in (EMConfig(seed=3), EMConfig(seed=3, prior_a=3.0, prior_b=3.0)):
+            fit_i = em_fit_ising(v, "class_dependent", config)
+            fit_c = em_fit_ci(v, config)
+            np.testing.assert_allclose(fit_i.posterior.gamma, fit_c.posterior.gamma, atol=1e-9)
+            assert expit(fit_i.params.h1[0]) == pytest.approx(float(fit_c.params.alpha[0]), abs=1e-9)
+            assert expit(-fit_i.params.h0[0]) == pytest.approx(float(fit_c.params.beta[0]), abs=1e-9)
 
     def test_shared_demo_dependence_gain(self):
         # The enumerated population ceiling for this generator is 0.8625
