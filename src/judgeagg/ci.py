@@ -14,7 +14,7 @@ import numpy as np
 
 from . import em
 from .data import _CHUNK_ROWS, PosteriorVector, VoteMatrix, rng_from, simulated_votes
-from .em import PI_EPS, EMConfig, EMFit, EMTrace, judge_weights
+from .em import PI_EPS, EMConfig, EMFit, EMTrace, check_prior, judge_weights
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,8 @@ class CIParams:
         beta = np.asarray(self.beta, dtype=float)
         if alpha.shape != beta.shape or alpha.ndim != 1:
             raise ValueError("alpha and beta must be 1-D vectors of equal length")
-        for name, arr in (("pi", np.array([self.pi])), ("alpha", alpha), ("beta", beta)):
+        check_prior(self.pi)
+        for name, arr in (("alpha", alpha), ("beta", beta)):
             if not np.all((arr > 0.0) & (arr < 1.0)):
                 raise ValueError(f"{name} must lie strictly inside (0,1)")
         object.__setattr__(self, "alpha", alpha)

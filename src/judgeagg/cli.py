@@ -11,7 +11,9 @@ import csv
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -55,33 +57,22 @@ def _write_posteriors(path: Path, v: VoteMatrix, gamma: np.ndarray) -> None:
         write_csv_rows(fh, ["item", "gamma", "label"], v.item_ids, tails)
 
 
-def _ci_model():
-    return (em_fit_ci,
-            lambda p: {"model": "ci", "pi": p.pi, "alpha": p.alpha.tolist(), "beta": p.beta.tolist()},
-            lambda d: CIParams(pi=d["pi"], alpha=np.array(d["alpha"]), beta=np.array(d["beta"])))
+def _fit_umv(v: VoteMatrix, config: EMConfig) -> EMFit:
+    # No parameters: the "fit" is the vote fraction, with an empty trace.
+    return EMFit(params=None, posterior=umv_predict(v), trace=EMTrace())
 
 
 def _ising_model(mode: str):
     from .ising import IsingParams, em_fit_ising
 
     return (lambda v, config: em_fit_ising(v, mode, config),
-            lambda p: json.loads(p.to_json()), IsingParams.from_payload)
+            partial(IsingParams, shared_couplings=mode == "class_independent"))
 
 
 def _factor_model():
     from .factor import MultiFactorParams, em_fit_factor
 
-    return (lambda v, config: em_fit_factor(v, 1, config),
-            lambda p: {"model": "factor", "pi": p.pi, "a": p.a.tolist(), "b": p.b.tolist(),
-                       "loadings": p.loadings.tolist()},
-            lambda d: MultiFactorParams(a=np.array(d["a"]), b=np.array(d["b"]),
-                                        loadings=np.array(d["loadings"]), pi=d["pi"]))
-
-
-def _umv_model():
-    # No parameters: the "fit" is the vote fraction, with an empty trace.
-    return (lambda v, config: EMFit(params=None, posterior=umv_predict(v), trace=EMTrace()),
-            lambda p: {"model": "umv"}, lambda d: None)
+    return lambda v, config: em_fit_factor(v, 1, config), MultiFactorParams
 
 
 def _predict(params, v: VoteMatrix):
@@ -89,35 +80,56 @@ def _predict(params, v: VoteMatrix):
     return umv_predict(v) if params is None else em.predict(params, v)
 
 
-# Model name -> loader of its (fit, to_payload, from_payload); a command
-# calls it, importing the model's module and reading the names then.
+class _Model(NamedTuple):
+    """How a model is fitted and how its ``model.json`` reads: the tag that names it, then its fields."""
+
+    tag: dict  # the one key and value that name the model in its file
+    fields: tuple  # its parameters, in file order, named as the constructor's arguments
+    load: Callable  # imports the model's module and returns (fit(v, config), constructor(**fields))
+
+
+_ISING_FIELDS = ("pi", "h0", "h1", "W0", "W1")
+# A loader runs when a command calls it: only then is the model's module
+# imported, and em_fit_ci read from this module's globals.
 _MODELS = {
-    "ci": _ci_model,
-    "ising-shared": lambda: _ising_model("class_independent"),
-    "ising-classdep": lambda: _ising_model("class_dependent"),
-    "factor": _factor_model,
-    "umv": _umv_model,
+    "ci": _Model({"model": "ci"}, ("pi", "alpha", "beta"), lambda: (em_fit_ci, CIParams)),
+    "ising-shared": _Model({"mode": "class_independent"}, _ISING_FIELDS, lambda: _ising_model("class_independent")),
+    "ising-classdep": _Model({"mode": "class_dependent"}, _ISING_FIELDS, lambda: _ising_model("class_dependent")),
+    "factor": _Model({"model": "factor"}, ("pi", "a", "b", "loadings"), _factor_model),
+    "umv": _Model({"model": "umv"}, (), lambda: (_fit_umv, lambda: None)),
 }
 MODELS = tuple(_MODELS)
 
 
-class _ModelFile(dict):
-    def __missing__(self, key):  # a field the model reads is not in the file
-        raise VoteDataError(f"model file lacks field {key!r}")
+def _model_payload(name: str, params) -> dict:
+    """The ``model.json`` object of fitted parameters: the model's tag, then each field, arrays as nested lists."""
+    tag, fields, _ = _MODELS[name]
+    return {**tag, **{f: np.asarray(getattr(params, f)).tolist() for f in fields}}
 
 
-def _saved_model_name(payload) -> str:
-    """The model a ``model.json`` payload was written by: Ising payloads carry a mode, the rest a name."""
+def _read_model(payload):
+    """The parameters a ``model.json`` object holds; a file with a ``mode`` is an Ising model's."""
     if not isinstance(payload, dict):
         raise VoteDataError("model file must hold a JSON object")
     for key, value in payload.items():
-        if key not in ("mode", "model") and np.asarray(value).dtype.kind not in "if":
+        if key in ("mode", "model"):
+            continue
+        try:
+            kind = np.asarray(value).dtype.kind
+        except ValueError:  # a ragged list
+            kind = "O"
+        if kind not in "if":
             raise VoteDataError(f"model file field {key!r} must be a number or a list of numbers")
-    if "mode" in payload:
-        return "ising-shared" if payload["mode"] == "class_independent" else "ising-classdep"
-    if payload.get("model") in ("ci", "factor", "umv"):
-        return payload["model"]
-    raise VoteDataError("unrecognized model file")
+    key = "mode" if "mode" in payload else "model"
+    for tag, fields, load in _MODELS.values():
+        if key in tag and tag[key] == payload.get(key):
+            break
+    else:
+        raise VoteDataError(f"unknown mode {payload['mode']!r}" if key == "mode" else "unrecognized model file")
+    for f in fields:
+        if f not in payload:
+            raise VoteDataError(f"model file lacks field {f!r}")
+    return load()[1](**{f: payload[f] for f in fields})
 
 
 class _Commands(click.Group):
@@ -156,12 +168,11 @@ def fit(votes_path, model, out, seed, **em_flags):
     """Fit a model by unsupervised EM and write posteriors plus a report."""
     v = load_votes(votes_path)
     config = EMConfig(seed=seed, **em_flags)
-    fit_model, to_payload, _ = _MODELS[model]()
-    fitres = fit_model(v, config)
+    fitres = _MODELS[model].load()[0](v, config)
     # Created only now, so a rejected input or a failed fit leaves no directory behind.
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    payload = to_payload(fitres.params)
+    payload = _model_payload(model, fitres.params)
     trace_lines = [
         f"iter {i}: objective={obj:.6f} loglik={ll:.6f}"
         for i, (obj, ll) in enumerate(zip(fitres.trace.objective, fitres.trace.loglik))
@@ -185,9 +196,7 @@ def fit(votes_path, model, out, seed, **em_flags):
 def predict(votes_path, model_file, out):
     """Score items under a previously fitted model."""
     v = load_votes(votes_path)
-    payload = json.loads(Path(model_file).read_text(), object_hook=_ModelFile)
-    _, _, from_payload = _MODELS[_saved_model_name(payload)]()
-    post = _predict(from_payload(payload), v)
+    post = _predict(_read_model(json.loads(Path(model_file).read_text())), v)
     _write_posteriors(Path(out), v, post.gamma)
     click.echo(f"wrote {out}")
 
@@ -225,8 +234,7 @@ def evaluate(votes_path, models, trials, train_fraction, num_judges, out, seed, 
         train, test = split(sub, SplitSpec(train_fraction=train_fraction, seed=trial_seed))
         config = EMConfig(seed=trial_seed, **em_flags)
         for m in model_list:
-            fit_model, _, _ = _MODELS[m]()
-            post = _predict(fit_model(train, config).params, test)
+            post = _predict(_MODELS[m].load()[0](train, config).params, test)
             results[m].append(accuracy(post.hard_labels, test.gold_labels))
     report = {"seed": seed, "n": v.n, "K": v.k, "trials": trials,
               "train_fraction": train_fraction,

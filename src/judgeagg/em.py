@@ -127,6 +127,14 @@ def class_prior(w1: np.ndarray, w0: np.ndarray) -> float:
     return float(np.clip(s1 / (s1 + w0.sum()), PI_EPS, 1.0 - PI_EPS))
 
 
+def check_prior(pi) -> None:
+    """Reject a class prior that is not a scalar strictly inside (0,1)."""
+    if np.ndim(pi) != 0:
+        raise ValueError("pi must be a number")
+    if not 0.0 < pi < 1.0:
+        raise ValueError("pi must lie strictly inside (0,1)")
+
+
 def judge_weights(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Per-judge weighted-vote weights log(alpha*beta / ((1-alpha)(1-beta))).
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import em
 from .ci import em_fit_ci
 from .data import VoteMatrix, rng_from, separation_row, simulated_votes
-from .em import EMConfig, EMFit, expit, judge_weights, logsumexp
+from .em import EMConfig, EMFit, check_prior, expit, judge_weights, logsumexp
 
 QUAD_NODES = 61
 
@@ -46,8 +46,7 @@ class FactorParams:
     sigma2_z: float
 
     def __post_init__(self):
-        if not (0.0 < self.pi < 1.0):
-            raise ValueError("pi must lie strictly inside (0,1)")
+        check_prior(self.pi)
         if not (self.sigma2_z > 0.0):
             raise ValueError("sigma2_z must be positive")
         for name in ("a", "b", "lam", "sigma2_z"):
@@ -75,8 +74,7 @@ class MultiFactorParams:
             lo = lo[:, None]
         if a.ndim != 1 or a.shape != b.shape or lo.ndim != 2 or lo.shape[0] != len(a) or lo.shape[1] < 1:
             raise ValueError("need K-vectors a, b and a (K, r>=1) loading matrix")
-        if not (0.0 < self.pi < 1.0):
-            raise ValueError("pi must lie strictly inside (0,1)")
+        check_prior(self.pi)
         for name, value in (("a", a), ("b", b), ("loadings", lo)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")

@@ -8,7 +8,6 @@ scores with weighted pseudo-likelihood M-steps.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cache, partial
@@ -18,7 +17,7 @@ import numpy as np
 from . import em
 from .ci import CIParams, em_fit_ci
 from .data import VoteMatrix, rng_from, simulated_votes
-from .em import PI_EPS, EMConfig, EMFit, expit, logsumexp, minimize
+from .em import PI_EPS, EMConfig, EMFit, check_prior, expit, logsumexp, minimize
 
 K_MAX_EXACT = 15
 
@@ -38,12 +37,6 @@ class PseudoFitError(RuntimeError):
         super().__init__(message)
         self.best_h = h
         self.best_w = w
-
-
-def _check_mode(mode) -> None:
-    """em_fit_ising fits, and IsingParams.from_payload loads, these two coupling modes alone."""
-    if mode not in ("class_dependent", "class_independent"):
-        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _check_coupling(w: np.ndarray, name: str) -> np.ndarray:
@@ -73,14 +66,16 @@ class IsingParams:
     shared_couplings: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.pi < 1.0):
-            raise ValueError("pi must lie strictly inside (0,1)")
+        check_prior(self.pi)
         h0, h1, w0, w1 = (np.asarray(x, dtype=float) for x in (self.h0, self.h1, self.W0, self.W1))
         for name, value in (("h0", h0), ("h1", h1), ("W0", w0), ("W1", w1)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
         w0 = _check_coupling(w0, "W0")
         w1 = _check_coupling(w1, "W1")
+        for name, h in (("h0", h0), ("h1", h1)):
+            if h.ndim != 1:
+                raise ValueError(f"{name} must be a vector")
         k = len(h0)
         if h1.shape != (k,) or w0.shape != (k, k) or w1.shape != (k, k):
             raise ValueError("h0, h1, W0, W1 must agree on K")
@@ -111,35 +106,6 @@ class IsingParams:
             return float(ci_from_marginals(self).weights().sum())
         # Beyond the cutoff the field shift is the linear-rule weight vector.
         return float((self.h1 - self.h0).sum())
-
-    def to_json(self) -> str:
-        mode = "class_independent" if self.shared_couplings else "class_dependent"
-        payload = {
-            "mode": mode,
-            "pi": self.pi,
-            "h0": self.h0.tolist(),
-            "h1": self.h1.tolist(),
-            "W0": self.W0.tolist(),
-            "W1": self.W1.tolist(),
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "IsingParams":
-        return IsingParams.from_payload(json.loads(text))
-
-    @staticmethod
-    def from_payload(d) -> "IsingParams":
-        """The parameters of a :meth:`to_json` object read as a mapping."""
-        _check_mode(d["mode"])
-        return IsingParams(
-            pi=d["pi"],
-            h0=np.array(d["h0"], dtype=float),
-            h1=np.array(d["h1"], dtype=float),
-            W0=np.array(d["W0"], dtype=float),
-            W1=np.array(d["W1"], dtype=float),
-            shared_couplings=d["mode"] == "class_independent",
-        )
 
 
 @dataclass(frozen=True)
@@ -505,7 +471,8 @@ def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig 
     model's implied marginal weights, falling back to class balance. Every
     step runs over the distinct vote rows.
     """
-    _check_mode(mode)
+    if mode not in ("class_dependent", "class_independent"):
+        raise ValueError(f"unknown mode {mode!r}")
     if v.k > K_MAX_EXACT:
         warnings.warn(f"exact evidence unavailable for K={v.k} (cutoff {K_MAX_EXACT}); "
                       "E-step falls back to pseudo-likelihood class scores")

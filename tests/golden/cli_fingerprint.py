@@ -16,7 +16,8 @@ where it ran:
 - ``reproduce`` for every target, with ``--out``;
 - inputs known to exit 2 (bad counts and flags, flags a generator does not
   read, non-finite EM settings, malformed or mismatched votes and model
-  files, model files that lack a field or name an unknown Ising mode, vote
+  files, model files that lack a field, name an unknown Ising mode, hold a
+  field of the wrong shape or a ragged list, or carry both tags, vote
   files with an id over the csv field limit or bytes that are not UTF-8,
   unknown names, non-finite or overflowing generator parameters, negative
   seeds, a seed given to a reproduce target that reads none, and each
@@ -45,6 +46,11 @@ from click.testing import CliRunner
 
 from judgeagg import cli
 
+# Valid model files, altered below.
+_CI = {"model": "ci", "pi": 0.5, "alpha": [0.7] * 6, "beta": [0.7] * 6}
+_ISING = {"mode": "class_dependent", "pi": 0.5, "h0": [0] * 6, "h1": [1] * 6, "W0": [[0] * 6] * 6, "W1": [[0] * 6] * 6}
+_FACTOR = {"model": "factor", "pi": 0.5, "a": [1] * 6, "b": [0] * 6, "loadings": [[1]] * 6}
+
 # Model files that are not what ``fit`` writes, by file name.
 MALFORMED_MODELS = {
     "model-list.json": "[]",
@@ -57,6 +63,13 @@ MALFORMED_MODELS = {
     "model-missing-field.json": '{"model": "ci", "pi": 0.5, "beta": [0.7, 0.7, 0.7, 0.7, 0.7, 0.7]}',
     "model-unknown-mode.json": json.dumps({"mode": "class_whatever", "pi": 0.5, "h0": [0] * 6, "h1": [1] * 6,
                                            "W0": [[0] * 6] * 6, "W1": [[0] * 6] * 6}),
+    "model-ci-list-pi.json": json.dumps({**_CI, "pi": [0.5]}),
+    "model-ci-nested-pi.json": json.dumps({**_CI, "pi": [[0.5]]}),
+    "model-ising-scalar-h0.json": json.dumps({**_ISING, "h0": 0}),
+    "model-ising-list-pi.json": json.dumps({**_ISING, "pi": [0.5]}),
+    "model-factor-list-pi.json": json.dumps({**_FACTOR, "pi": [0.5]}),
+    "model-ragged-alpha.json": json.dumps({**_CI, "alpha": [0.7, [0.7]]}),
+    "model-both-tags.json": json.dumps({**_CI, "mode": "class_dependent"}),
 }
 
 # Copies of ci-setup-2.csv that csv.reader reads as the same votes, by file

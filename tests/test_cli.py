@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import judgeagg
-from judgeagg import EMConfig
+from judgeagg import EMConfig, cli
 from judgeagg.cli import main
 
 SRC = str(Path(judgeagg.__file__).resolve().parent.parent)
@@ -299,28 +301,43 @@ def read_gamma(path) -> np.ndarray:
     return np.array([float(line.split(",")[1]) for line in lines[1:]])
 
 
-ISING_KEYS = {"mode", "pi", "h0", "h1", "W0", "W1"}
+# Valid model files for six judges, which the malformed cases below alter.
+CI_FILE = {"model": "ci", "pi": 0.5, "alpha": [0.7] * 6, "beta": [0.7] * 6}
+ISING_FILE = {"mode": "class_dependent", "pi": 0.5, "h0": [0.0] * 6, "h1": [1.0] * 6,
+              "W0": [[0.0] * 6] * 6, "W1": [[0.0] * 6] * 6}
+FACTOR_FILE = {"model": "factor", "pi": 0.5, "a": [1.0] * 6, "b": [0.0] * 6, "loadings": [[1.0]] * 6}
 
 
 class TestPredict:
-    # model -> (generator of its own CSV, extra simulate args, key set of its model.json)
+    # model -> (generator of its own CSV, extra simulate args, tag and fields of its model.json)
     CASES = {
-        "ci": ("ci-setup-1", (), {"model", "pi", "alpha", "beta"}),
-        "ising-shared": ("shared-demo", (), ISING_KEYS),
-        "ising-classdep": ("classdep-demo", (), ISING_KEYS),
-        "factor": ("factor", ("--num-judges", "5", "--lam", "0.8"), {"model", "pi", "a", "b", "loadings"}),
-        "umv": ("ci-setup-1", (), {"model"}),
+        "ci": ("ci-setup-1", (), {"model": "ci"}, ["pi", "alpha", "beta"]),
+        "ising-shared": ("shared-demo", (), {"mode": "class_independent"}, ["pi", "h0", "h1", "W0", "W1"]),
+        "ising-classdep": ("classdep-demo", (), {"mode": "class_dependent"}, ["pi", "h0", "h1", "W0", "W1"]),
+        "factor": ("factor", ("--num-judges", "5", "--lam", "0.8"), {"model": "factor"}, ["pi", "a", "b", "loadings"]),
+        "umv": ("ci-setup-1", (), {"model": "umv"}, []),
     }
 
     @pytest.mark.parametrize("model", list(CASES))
     def test_round_trip(self, runner, tmp_path, model):
-        generator, extra, keys = self.CASES[model]
+        generator, extra, tag, fields = self.CASES[model]
         votes = simulate(runner, tmp_path, generator=generator, n=120, extra=extra)
         out = tmp_path / "fit"
         res = runner.invoke(main, ["fit", "--votes", str(votes), "--model", model,
                                    "--out", str(out), "--seed", "2"])
         assert res.exit_code == 0, res.output
-        assert set(json.loads((out / "model.json").read_text())) == keys
+        saved = json.loads((out / "model.json").read_text())
+        assert list(saved) == [*tag, *fields]
+        assert tag.items() <= saved.items()
+        # The parameters read back are the fitted ones, bit for bit.
+        fitted = cli._MODELS[model].load()[0](judgeagg.load_votes(str(votes)), EMConfig(seed=2)).params
+        read = cli._read_model(saved)
+        if fitted is None:
+            assert read is None
+        else:
+            assert type(read) is type(fitted)
+            for name, value in vars(fitted).items():
+                np.testing.assert_array_equal(getattr(read, name), value, strict=True)
         pred = tmp_path / "pred.csv"
         res = runner.invoke(main, ["predict", "--votes", str(votes),
                                    "--model-file", str(out / "model.json"), "--out", str(pred)])
@@ -360,8 +377,19 @@ class TestPredict:
                      "W0": [[0.0] * 6] * 6}), "model file lacks field 'W1'"),
         (json.dumps({"mode": "class_whatever", "pi": 0.5, "h0": [0.0] * 6, "h1": [0.0] * 6,
                      "W0": [[0.0] * 6] * 6, "W1": [[0.0] * 6] * 6}), "unknown mode 'class_whatever'"),
+        (json.dumps({**CI_FILE, "pi": [0.5]}), "pi must be a number"),
+        (json.dumps({**CI_FILE, "pi": [[0.5]]}), "pi must be a number"),
+        (json.dumps({**ISING_FILE, "pi": [0.5]}), "pi must be a number"),
+        (json.dumps({**ISING_FILE, "h0": 0}), "h0 must be a vector"),
+        (json.dumps({**FACTOR_FILE, "pi": [0.5]}), "pi must be a number"),
+        (json.dumps({**CI_FILE, "alpha": [0.7, [0.7]]}), "model file field 'alpha' must be a number or a list of numbers"),
+        (json.dumps({**ISING_FILE, "W0": [[0.0] * 6] * 5 + [[0.0] * 5]}),
+         "model file field 'W0' must be a number or a list of numbers"),
+        (json.dumps({**CI_FILE, "mode": "class_dependent"}), "model file lacks field 'h0'"),
     ], ids=["list", "number", "string", "factor-null-loadings", "ci-string-pi", "factor-nan-a", "ising-inf-h0",
-            "ci-missing-alpha", "ising-missing-w1", "ising-unknown-mode"])
+            "ci-missing-alpha", "ising-missing-w1", "ising-unknown-mode", "ci-list-pi", "ci-nested-pi",
+            "ising-list-pi", "ising-scalar-h0", "factor-list-pi", "ci-ragged-alpha", "ising-ragged-w0",
+            "both-tags-read-as-ising"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_model_file_exits_2(self, runner, tmp_path, payload, message):
         votes = simulate(runner, tmp_path, n=20)
@@ -373,6 +401,39 @@ class TestPredict:
         assert res.exit_code == 2, res.output
         assert f"error: {message}" in res.output
         assert not pred.exists()
+
+
+# Field values of every shape a JSON file can hold: numbers (NaN and the
+# infinities among them), nested and ragged lists, strings, null and bools.
+_FIELD_VALUES = st.recursive(st.one_of(st.floats(), st.integers(-2, 2), st.floats(0.01, 0.99), st.text(max_size=2),
+                                       st.none(), st.booleans()), lambda inner: st.lists(inner, max_size=6),
+                             max_leaves=30)
+_VALID_FIELDS = {**CI_FILE, **ISING_FILE, **FACTOR_FILE}
+
+
+@st.composite
+def model_files(draw):
+    """One model's tag and fields; each field as in a valid file, any value, or (one time in ten) left out."""
+    tag, fields, _ = draw(st.sampled_from(list(cli._MODELS.values())))
+    kept = [f for f in fields if draw(st.integers(0, 9))]
+    return {**tag, **{f: draw(st.one_of(st.just(_VALID_FIELDS[f]), _FIELD_VALUES)) for f in kept}}
+
+
+@pytest.fixture(scope="module")
+def predict_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("predict")
+    simulate(CliRunner(), path, n=20)
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=model_files())
+def test_any_model_file_exits_0_or_2(predict_dir, payload):
+    model_file = predict_dir / "model.json"
+    model_file.write_text(json.dumps(payload))
+    res = CliRunner().invoke(main, ["predict", "--votes", str(predict_dir / "votes.csv"),
+                                    "--model-file", str(model_file), "--out", str(predict_dir / "pred.csv")])
+    assert res.exit_code in (0, 2), (payload, res.output, res.exception)
 
 
 class TestEvaluate:

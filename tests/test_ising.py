@@ -1,5 +1,4 @@
 import itertools
-import json
 import warnings
 
 import numpy as np
@@ -432,30 +431,6 @@ class TestFitPseudo:
             fit_pseudo(votes, np.ones(3))
 
 
-class TestJsonRoundTrip:
-    def test_bit_stable(self):
-        rng = np.random.default_rng(32)
-        for shared in (False, True):
-            p = random_ising(rng, 4, shared=shared)
-            q = IsingParams.from_json(p.to_json())
-            assert q.pi == p.pi and q.shared_couplings == p.shared_couplings
-            for name in ("h0", "h1", "W0", "W1"):
-                assert np.array_equal(getattr(q, name), getattr(p, name))
-
-    def test_schema_keys(self):
-        d = json.loads(presets.SHARED_DEMO.to_json())
-        assert list(d.keys()) == ["mode", "pi", "h0", "h1", "W0", "W1"]
-        assert d["mode"] == "class_independent"
-
-    def test_loads_only_the_modes_em_fit_ising_fits(self):
-        d = json.loads(presets.SHARED_DEMO.to_json())
-        d["mode"] = "class_whatever"
-        with pytest.raises(ValueError, match="unknown mode 'class_whatever'"):
-            IsingParams.from_json(json.dumps(d))
-        with pytest.raises(ValueError, match="unknown mode 'class_whatever'"):
-            em_fit_ising(sample_labeled(presets.SHARED_DEMO, 50, 0), "class_whatever")
-
-
 class TestSampler:
     def test_matches_enumeration_within_three_se(self):
         rng = np.random.default_rng(33)
@@ -479,6 +454,10 @@ def cw_vote_matrix(k, n, pi, seed):
 
 
 class TestEmFitIsing:
+    def test_fits_only_its_two_modes(self):
+        with pytest.raises(ValueError, match="unknown mode 'class_whatever'"):
+            em_fit_ising(sample_labeled(presets.SHARED_DEMO, 50, 0), "class_whatever")
+
     def test_single_judge_matches_ci_fitter(self):
         # Only under a symmetric prior: the Ising prior on class 0 is on
         # P(J=1 | Y=0), the CI fitter's on the specificity P(J=0 | Y=0).
