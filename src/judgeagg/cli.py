@@ -196,7 +196,11 @@ def fit(votes_path, model, out, seed, **em_flags):
 def predict(votes_path, model_file, out):
     """Score items under a previously fitted model."""
     v = load_votes(votes_path)
-    post = _predict(_read_model(json.loads(Path(model_file).read_text())), v)
+    try:
+        payload = json.loads(Path(model_file).read_text())
+    except RecursionError:  # json's decoder recurses once per nested array or object
+        raise VoteDataError(f"{model_file}: JSON nests too deeply to read") from None
+    post = _predict(_read_model(payload), v)
     _write_posteriors(Path(out), v, post.gamma)
     click.echo(f"wrote {out}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import rng_from, separation_row
-from .em import expit, logsumexp
+from .em import check_prior, expit, logsumexp
 
 
 def magnetization_support(k: int) -> np.ndarray:
@@ -58,57 +58,43 @@ def sample_cw(k: int, beta: float, h: float, n: int, seed: int) -> np.ndarray:
     return spins.astype(np.int8)
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """A root of f in [lo, hi], where f(lo) and f(hi) differ in sign, by bisection to a 1e-14 bracket."""
-    lo_negative = f(lo) < 0
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0:
-            return mid
-        if (f_mid < 0) == lo_negative:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def solve_mean_field(beta: float, h: float = 0.0) -> list[float]:
-    """All solutions of m = tanh(beta*m + h) in (-1, 1), to 1e-12.
+    """All solutions of m = tanh(beta*m + h) in [-1, 1], in increasing order.
 
-    Bracketed bisection over a fine sign-change scan; for beta < 1 there is
-    exactly one root, for beta > 1 and h = 0 the three roots {-m*, 0, +m*}.
+    f(m) = tanh(beta*m + h) - m has f' = 0 only at the turning points
+    m = (-h +- arccosh(sqrt(beta))) / beta, which exist for beta > 1, so they
+    split [-1, 1] into at most three pieces on which f is monotone, and
+    f(-1) >= 0 >= f(1). Each piece across which f changes sign holds one
+    root, found by bisection to a 1e-14 bracket; an edge where f is zero in
+    floating point (+-1 where tanh rounds to +-1, or a tangency) is a root,
+    counted once. For beta <= 1 there is exactly one root; for beta > 1 and
+    h = 0 the three roots {-m*, 0, +m*}.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
-    grid = np.linspace(lo, hi, 4001)
 
     def f(m):
         return np.tanh(beta * m + h) - m
 
-    vals = f(grid)
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(grid[i])
-        elif a * b < 0:
-            roots.append(_bisect(f, grid[i], grid[i + 1]))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
-    dedup: list[float] = []
-    for r in roots:
-        if not dedup or abs(r - dedup[-1]) > 1e-9:
-            dedup.append(float(r))
-    return dedup
+    turns = (-h + np.array([-1.0, 1.0]) * np.arccosh(np.sqrt(beta))) / beta if beta > 1 else np.empty(0)
+    edges = np.concatenate(([-1.0], turns[(-1.0 < turns) & (turns < 1.0)], [1.0]))
+    sign = np.sign(f(edges))
+    cross = sign[:-1] * sign[1:] < 0
+    lo, hi, lo_sign = edges[:-1][cross], edges[1:][cross], sign[:-1][cross]
+    while np.any(hi - lo > 1e-14):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        past = np.sign(f_mid) == lo_sign  # the root lies above mid
+        lo = np.where(past | (f_mid == 0), mid, lo)
+        hi = np.where(past, hi, mid)
+    return sorted(float(m) for m in (*edges[sign == 0], *0.5 * (lo + hi)))
 
 
 def positive_root(beta: float) -> float:
-    """The unique positive solution of m = tanh(beta*m), for beta > 1."""
+    """m*, the positive solution of m = tanh(beta*m) for beta > 1: the largest mean-field root at h = 0."""
     if beta <= 1:
         raise ValueError("positive root exists only for beta > 1")
-    return float(_bisect(lambda m: np.tanh(beta * m) - m, 1e-9, 1 - 1e-15))
+    return solve_mean_field(beta)[-1]
 
 
 def magnetization_classifier(spins, t: float, mode: str = "absolute"):
@@ -161,6 +147,9 @@ class CWClassSpec:
     field_value: float = 0.0
 
     def __post_init__(self):
+        for name in ("beta", "field_value"):
+            if np.ndim(getattr(self, name)) != 0:
+                raise ValueError(f"{name} must be a number")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
         for name in ("beta", "field_value"):
@@ -227,8 +216,7 @@ class CWExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.pi < 1.0):
-            raise ValueError("pi must lie strictly inside (0,1)")
+        check_prior(self.pi)
         if any(k < 1 for k in self.k_grid) or self.n < 1:
             raise ValueError("K values and n must be >= 1")
         if self.statistic not in ("squared", "absolute"):

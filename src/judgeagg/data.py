@@ -139,6 +139,8 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
+        if np.ndim(self.train_fraction) != 0:
+            raise ValueError("train_fraction must be a number")
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must lie strictly inside (0,1)")
 

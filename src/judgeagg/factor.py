@@ -47,6 +47,9 @@ class FactorParams:
 
     def __post_init__(self):
         check_prior(self.pi)
+        for name in ("a", "b", "lam", "sigma2_z"):
+            if np.ndim(getattr(self, name)) != 0:
+                raise ValueError(f"{name} must be a number")
         if not (self.sigma2_z > 0.0):
             raise ValueError("sigma2_z must be positive")
         for name in ("a", "b", "lam", "sigma2_z"):

@@ -17,11 +17,11 @@ where it ran:
 - inputs known to exit 2 (bad counts and flags, flags a generator does not
   read, non-finite EM settings, malformed or mismatched votes and model
   files, model files that lack a field, name an unknown Ising mode, hold a
-  field of the wrong shape or a ragged list, or carry both tags, vote
-  files with an id over the csv field limit or bytes that are not UTF-8,
-  unknown names, non-finite or overflowing generator parameters, negative
-  seeds, a seed given to a reproduce target that reads none, and each
-  command's output path under a regular file).
+  field of the wrong shape or a ragged list, carry both tags or nest
+  arrays 100,000 deep, vote files with an id over the csv field limit or
+  bytes that are not UTF-8, unknown names, non-finite or overflowing
+  generator parameters, negative seeds, a seed given to a reproduce target
+  that reads none, and each command's output path under a regular file).
 
 Warnings are recorded per command and hashed as category and text, without
 the file and line they were raised from. Run it at two commits with BLAS
@@ -29,6 +29,8 @@ pinned to one thread and compare:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden/cli_fingerprint.py > after.txt
     diff before.txt after.txt
+
+``python tests/golden/compare.py REV`` does both runs and the comparison.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ MALFORMED_MODELS = {
     "model-factor-list-pi.json": json.dumps({**_FACTOR, "pi": [0.5]}),
     "model-ragged-alpha.json": json.dumps({**_CI, "alpha": [0.7, [0.7]]}),
     "model-both-tags.json": json.dumps({**_CI, "mode": "class_dependent"}),
+    "model-deep.json": "[" * 100_000 + "]" * 100_000,
 }
 
 # Copies of ci-setup-2.csv that csv.reader reads as the same votes, by file

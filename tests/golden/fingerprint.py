@@ -12,6 +12,8 @@ thread and compare:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden/fingerprint.py > after.txt
     diff before.txt after.txt
+
+``python tests/golden/compare.py REV`` does both runs and the comparison.
 """
 
 from __future__ import annotations

@@ -386,10 +386,12 @@ class TestPredict:
         (json.dumps({**ISING_FILE, "W0": [[0.0] * 6] * 5 + [[0.0] * 5]}),
          "model file field 'W0' must be a number or a list of numbers"),
         (json.dumps({**CI_FILE, "mode": "class_dependent"}), "model file lacks field 'h0'"),
+        ("[" * 100_000 + "]" * 100_000, "{model_file}: JSON nests too deeply to read"),
+        ('{"model": "ci", "pi": ' + "[" * 100_000 + "]" * 100_000 + "}", "{model_file}: JSON nests too deeply to read"),
     ], ids=["list", "number", "string", "factor-null-loadings", "ci-string-pi", "factor-nan-a", "ising-inf-h0",
             "ci-missing-alpha", "ising-missing-w1", "ising-unknown-mode", "ci-list-pi", "ci-nested-pi",
             "ising-list-pi", "ising-scalar-h0", "factor-list-pi", "ci-ragged-alpha", "ising-ragged-w0",
-            "both-tags-read-as-ising"])
+            "both-tags-read-as-ising", "deep-list", "deep-pi"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_model_file_exits_2(self, runner, tmp_path, payload, message):
         votes = simulate(runner, tmp_path, n=20)
@@ -399,7 +401,7 @@ class TestPredict:
         res = runner.invoke(main, ["predict", "--votes", str(votes), "--model-file", str(model_file),
                                    "--out", str(pred)])
         assert res.exit_code == 2, res.output
-        assert f"error: {message}" in res.output
+        assert f"error: {message.format(model_file=model_file)}" in res.output
         assert not pred.exists()
 
 

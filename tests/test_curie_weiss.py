@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from judgeagg import (
@@ -132,6 +134,37 @@ class TestMeanField:
             for m in solve_mean_field(beta, h):
                 assert abs(m - np.tanh(beta * m + h)) <= 1e-12
 
+    @pytest.mark.parametrize("beta", [1.5, 2.0])
+    def test_two_close_roots_just_past_the_critical_field(self, beta):
+        # At h_c the upper turning point m = sqrt(1 - 1/beta) is a double root;
+        # 1e-8 above it the pair splits about 1.2e-4 apart, 1e-8 below it is gone.
+        h_c = np.arccosh(np.sqrt(beta)) - np.sqrt(beta * (beta - 1.0))
+        roots = solve_mean_field(beta, h_c + 1e-8)
+        assert len(roots) == 3
+        assert 0 < roots[2] - roots[1] < 2e-4
+        assert roots[1] < np.sqrt(1.0 - 1.0 / beta) < roots[2]
+        assert len(solve_mean_field(beta, h_c - 1e-8)) == 1
+
+    @pytest.mark.parametrize("beta", [12.0, 40.0])
+    def test_three_roots_when_m_star_is_within_1e_9_of_one(self, beta):
+        roots = solve_mean_field(beta, 0.0)
+        assert roots == [-roots[2], 0.0, roots[2]]
+        assert 1.0 - 1e-9 < roots[2] <= 1.0
+
+    @pytest.mark.parametrize("h", [-50.0, 50.0])
+    def test_one_root_where_tanh_rounds_to_one(self, h):
+        assert solve_mean_field(0.5, h) == [np.sign(h)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(beta=st.floats(0.0, 50.0, exclude_min=True), h=st.floats(-60.0, 60.0))
+    def test_roots_increase_and_solve_the_equation(self, beta, h):
+        roots = solve_mean_field(beta, h)
+        assert 1 <= len(roots) <= 3
+        assert all(a < b for a, b in zip(roots, roots[1:]))
+        assert all(abs(m - np.tanh(beta * m + h)) <= 1e-12 for m in roots)
+        if beta <= 1.0:
+            assert len(roots) == 1
+
 
 class TestScipyReference:
     """The pmf and the mean-field roots against scipy's gammaln and brentq, the independent references."""
@@ -227,6 +260,12 @@ class TestTrueMarginals:
         assert marginal_limit(spec) == pytest.approx(want, abs=1e-12)
         assert abs(true_marginals(spec, 400) - want) <= 0.01
 
+    def test_constant_field_limit_near_one(self):
+        # The free-energy maximizer is the root 1 - 2.8e-11; a root scan that
+        # stops at 1 - 1e-9 misses it and answers 0.4773.
+        assert marginal_limit(CWClassSpec(beta=12.0, field_value=0.5)) == pytest.approx(1.0, abs=1e-9)
+        assert np.isfinite(marginal_limit(CWClassSpec(beta=0.5, field_value=50.0)))
+
 
 class TestRunSeparation:
     def test_smallest_run(self):
@@ -247,6 +286,19 @@ class TestRunSeparation:
             k_grid=(10,), n=10, statistic="absolute", seed=0)
         with pytest.raises(ValueError, match=r"m_star > 1 - 2\*q0"):
             run_separation(spec)
+
+    @pytest.mark.parametrize("beta0, h0", [(1.5, np.arccosh(np.sqrt(1.5)) - np.sqrt(0.75) + 1e-9), (12.0, -0.5)])
+    def test_auto_threshold_refuses_a_class0_law_with_three_roots(self, beta0, h0):
+        spec = CWExperimentSpec(pi=0.5, class0=CWClassSpec(beta=beta0, field_value=h0),
+                                class1=CWClassSpec(beta=2.0), k_grid=(10,), n=10, statistic="absolute")
+        with pytest.raises(ValueError, match="^auto threshold expects a unique high-temperature root for class 0$"):
+            auto_threshold(spec)
+
+    def test_auto_threshold_refuses_a_class0_root_at_minus_one(self):
+        spec = CWExperimentSpec(pi=0.5, class0=CWClassSpec(beta=0.5, field_value=-50.0),
+                                class1=CWClassSpec(beta=2.0), k_grid=(10,), n=10, statistic="absolute")
+        with pytest.raises(ValueError, match=r"m_star > 1 - 2\*q0 violated"):
+            auto_threshold(spec)
 
     def test_auto_threshold_under_a_scaled_class0_field(self):
         # A scaled field c/K vanishes as K grows, so class 0's limiting root is

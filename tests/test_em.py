@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from judgeagg import (CIParams, EMConfig, IsingParams, MultiFactorParams, VoteMatrix, em_fit_ci, em_fit_factor,
-                      em_fit_ising, sample_ci, save_votes)
+from judgeagg import (CIParams, CWClassSpec, CWExperimentSpec, EMConfig, FactorParams, IsingParams, MultiFactorParams,
+                      SplitSpec, VoteMatrix, em_fit_ci, em_fit_factor, em_fit_ising, sample_ci, save_votes)
 from judgeagg import ci, em, factor, ising
 from judgeagg.cli import main
 from judgeagg.em import PI_EPS, EMTrace, class_prior, vote_patterns
@@ -93,6 +93,18 @@ def test_em_config_rejects_a_negative_seed():
 ], ids=["ci-nan-pi", "ci-nan-alpha", "factor-null-loadings"])
 def test_parameter_types_reject_malformed_values(make):
     with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: FactorParams(pi=0.5, a=np.array([1.0, 2.0]), b=1.0, lam=0.1, sigma2_z=1.0), "a"),
+    (lambda: CWClassSpec(beta=np.array([1.0, 2.0])), "beta"),
+    (lambda: CWExperimentSpec(pi=np.array([0.5, 0.6]), class0=CWClassSpec(beta=0.5), class1=CWClassSpec(beta=2.0),
+                              k_grid=(5,), n=10), "pi"),
+    (lambda: SplitSpec(train_fraction=np.array([0.5, 0.2]), seed=0), "train_fraction"),
+], ids=["factor-array-a", "cw-array-beta", "cw-experiment-array-pi", "split-array-fraction"])
+def test_scalar_fields_reject_arrays_by_name(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a number$"):
         make()
 
 
