@@ -15,19 +15,17 @@ import importlib
 
 # Public names, by the submodule that defines them.
 _EXPORTS = {
-    "ci": ("CIParams", "ci_log_odds", "em_fit_ci", "sample_ci", "umv_predict", "wmv_predict"),
-    "curie_weiss": ("CWClassSpec", "CWExperimentSpec", "ci_oracle_predict", "magnetization_classifier",
-                    "magnetization_log_pmf", "run_separation", "sample_cw", "solve_mean_field",
-                    "true_marginals"),
+    "ci": ("CIParams", "ci_log_odds", "ci_oracle_predict", "em_fit_ci", "sample_ci", "umv_predict", "wmv_predict"),
+    "curie_weiss": ("CWClassSpec", "CWExperimentSpec", "magnetization_classifier", "magnetization_log_pmf",
+                    "run_separation", "sample_cw", "solve_mean_field", "true_marginals"),
     "data": ("PosteriorVector", "SplitSpec", "VoteDataError", "VoteMatrix", "accuracy", "load_votes",
              "rng_from", "save_votes", "split"),
     "em": ("EMConfig",),
     "factor": ("FactorParams", "MultiFactorParams", "bayes_limit_score", "ci_limit_score", "em_fit_factor",
                "factor_to_ising", "marginal_success", "run_factor_separation", "sample_factor"),
-    "ising": ("ExactEvidence", "ExactEvidenceUnavailable", "IsingParams", "K_MAX_EXACT", "exact_evidence",
-              "bayes_log_odds", "ci_from_marginals", "class_conditional_prob", "em_fit_ising", "energy",
-              "fit_pseudo", "log_partition", "pseudo_log_likelihood", "pseudo_log_likelihood_grad",
-              "sample_ising"),
+    "ising": ("ExactEvidenceUnavailable", "IsingParams", "K_MAX_EXACT", "bayes_log_odds", "ci_from_marginals",
+              "class_conditional_prob", "em_fit_ising", "energy", "fit_pseudo", "log_partition",
+              "pseudo_log_likelihood", "pseudo_log_likelihood_grad", "sample_ising"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -2,7 +2,7 @@
 
 Uniform and weighted majority vote, the exact posterior log-odds under
 per-judge sensitivity/specificity, and the closed-form EM fitter (asymmetric
-Dawid-Skene with Beta-prior MAP updates).
+Dawid-Skene with Beta-prior MAP updates): the one CI rule of the package.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import em
 from .data import _CHUNK_ROWS, PosteriorVector, VoteMatrix, rng_from, simulated_votes
-from .em import PI_EPS, EMConfig, EMFit, EMTrace, check_prior, judge_weights
+from .em import PI_EPS, EMConfig, EMFit, EMTrace, check_prior, vote_rows
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ class CIParams:
         return len(self.alpha)
 
     def weights(self) -> np.ndarray:
-        return judge_weights(self.alpha, self.beta)
+        """Per-judge weights log(alpha*beta / ((1-alpha)(1-beta))): positive exactly when alpha + beta > 1."""
+        return np.log(self.alpha) + np.log(self.beta) - np.log1p(-self.alpha) - np.log1p(-self.beta)
 
     def weight_sum(self) -> float:
         """Sum of the judge weights: positive when the judges beat random on average."""
@@ -63,14 +64,46 @@ class CIParams:
         return l1, l0
 
 
-def ci_log_odds(p: CIParams, j) -> float:
-    """Posterior log-odds of Y=1 for one K-vector of votes.
+def ci_from_rates(pi: float, m1, m0) -> CIParams:
+    """CI parameters of vote-1 rates m1 = Pr(J=1 | Y=1) and m0 = Pr(J=1 | Y=0), clipped 1e-12 inside (0,1)."""
+    eps = 1e-12
+    return CIParams(pi=pi, alpha=np.clip(m1, eps, 1 - eps), beta=np.clip(1.0 - m0, eps, 1 - eps))
+
+
+def ci_log_odds(p: CIParams, votes):
+    """Posterior log-odds of Y=1: a float for one K-vector of 0/1 votes, an array for a matrix of rows.
 
     logit(pi) + sum_j [J_j log(alpha_j/(1-beta_j)) + (1-J_j) log((1-alpha_j)/beta_j)],
-    an affine function of the votes with slopes given by ``p.weights()``.
+    an affine function of the votes with slopes given by ``p.weights()``. Rows
+    share one BLAS product in :meth:`CIParams.log_scores`, so a row's value
+    can differ in the last bits from its value scored alone.
     """
-    s1, s0 = p.log_scores(np.asarray(j, dtype=float)[None, :])
-    return float(np.log(p.pi / (1.0 - p.pi)) + s1[0] - s0[0])
+    rows, single = vote_rows(votes, p.k)
+    s1, s0 = p.log_scores(rows)
+    log_odds = np.log(p.pi / (1.0 - p.pi)) + s1 - s0
+    return float(log_odds[0]) if single else log_odds
+
+
+def ci_oracle_predict(q0: float, q1: float, pi: float, votes) -> int | np.ndarray:
+    """CI label (int, or array for rows) when all K judges vote 1 at rate q1 in class 1 and q0 in class 0.
+
+    Where |q1 - q0| < 1e-12 it is the prior's majority class, 1 at pi = 1/2.
+    Otherwise the judges are exchangeable, so :func:`ci_log_odds` scores the
+    K + 1 rows with 0..K leading ones once (rates through :func:`ci_from_rates`)
+    and each row reads its count's.
+    """
+    check_prior(pi)
+    for name, val in (("q0", q0), ("q1", q1)):
+        if not (0.0 < val < 1.0):
+            raise ValueError(f"{name} must lie strictly inside (0,1): degenerate likelihood")
+    rows, single = vote_rows(votes)
+    if abs(q1 - q0) < 1e-12:
+        out = np.full(len(rows), 1 if pi >= 0.5 else 0, dtype=np.int8)
+    else:
+        k = rows.shape[1]  # row s of np.tri(k + 1, k, -1) holds s leading ones
+        log_odds = ci_log_odds(ci_from_rates(pi, np.full(k, q1), np.full(k, q0)), np.tri(k + 1, k, -1))
+        out = (log_odds[rows.sum(axis=1).astype(np.intp)] >= 0).astype(np.int8)
+    return int(out[0]) if single else out
 
 
 def wmv_predict(p: CIParams, v: VoteMatrix) -> PosteriorVector:

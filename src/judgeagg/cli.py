@@ -236,6 +236,9 @@ def evaluate(votes_path, models, trials, train_fraction, num_judges, out, seed, 
             cols = rng_from(trial_seed, 73).choice(v.k, size=num_judges, replace=False)
             sub = v.select_judges(np.sort(cols))
         train, test = split(sub, SplitSpec(train_fraction=train_fraction, seed=trial_seed))
+        if train.n < 2 and set(model_list) - {"umv"}:
+            raise VoteDataError(f"--train-fraction {train_fraction} splits the {v.n} items into {train.n} to train "
+                                f"and {test.n} to test; an EM fit requires at least 2 training items")
         config = EMConfig(seed=trial_seed, **em_flags)
         for m in model_list:
             post = _predict(_MODELS[m].load()[0](train, config).params, test)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ci import ci_oracle_predict
 from .data import rng_from, separation_row
 from .em import check_prior, expit, logsumexp
 
@@ -112,26 +113,6 @@ def magnetization_classifier(spins, t: float, mode: str = "absolute"):
     stat = m ** 2 if mode == "squared" else np.abs(m)
     out = (stat >= t).astype(np.int8)
     return int(out) if single else out
-
-
-def ci_oracle_predict(q0: float, q1: float, pi: float, votes) -> int | np.ndarray:
-    """Label from the product-Bernoulli posterior built on true marginals.
-
-    With q0 = q1 the posterior equals the prior for every vote vector and
-    the output is the prior's majority class; otherwise the exact log-odds
-    logit(pi) + S log(q1/q0) + (K-S) log((1-q1)/(1-q0)) is thresholded at 0.
-    """
-    for name, val in (("q0", q0), ("q1", q1)):
-        if not (0.0 < val < 1.0):
-            raise ValueError(f"{name} must lie strictly inside (0,1): degenerate likelihood")
-    votes = np.asarray(votes)
-    single = votes.ndim == 1
-    votes = np.atleast_2d(votes).astype(float)
-    s = votes.sum(axis=1)
-    k = votes.shape[1]
-    lo = np.log(pi / (1.0 - pi)) + s * np.log(q1 / q0) + (k - s) * np.log((1.0 - q1) / (1.0 - q0))
-    out = (lo >= 0).astype(np.int8)
-    return int(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -277,11 +258,6 @@ def run_separation(spec: CWExperimentSpec) -> list[dict]:
                                      (spec.seed * 4 + 1 + 8 * i, spec.seed * 4 + 2 + 8 * i))
         pred_bayes = magnetization_classifier(spins, t, spec.statistic)
         votes = ((spins + 1) // 2).astype(np.int8)
-        q0 = true_marginals(spec.class0, k)
-        q1 = true_marginals(spec.class1, k)
-        if abs(q1 - q0) < 1e-12:
-            pred_ci = np.full(spec.n, 1 if spec.pi >= 0.5 else 0, dtype=np.int8)
-        else:
-            pred_ci = ci_oracle_predict(q0, q1, spec.pi, votes)
+        pred_ci = ci_oracle_predict(true_marginals(spec.class0, k), true_marginals(spec.class1, k), spec.pi, votes)
         rows.append(separation_row(k, pred_bayes, pred_ci, y))
     return rows

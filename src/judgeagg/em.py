@@ -135,13 +135,16 @@ def check_prior(pi) -> None:
         raise ValueError("pi must lie strictly inside (0,1)")
 
 
-def judge_weights(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Per-judge weighted-vote weights log(alpha*beta / ((1-alpha)(1-beta))).
-
-    Positive exactly when alpha + beta > 1, i.e. the judge beats random
-    guessing; negative for adversarial judges.
-    """
-    return np.log(alpha) + np.log(beta) - np.log1p(-alpha) - np.log1p(-beta)
+def vote_rows(votes, k: int | None = None) -> tuple[np.ndarray, bool]:
+    """A rule's 0/1 votes (a vector or rows, ``k`` per row if given) as float rows, and whether one vector came."""
+    rows = np.asarray(votes, dtype=float)
+    if rows.ndim not in (1, 2):
+        raise ValueError("votes must be a vector or a matrix of rows")
+    if k is not None and rows.shape[-1] != k:
+        raise ValueError(f"votes must hold K={k} entries per row, got {rows.shape[-1]}")
+    if np.count_nonzero(rows == 0.0) + np.count_nonzero(rows == 1.0) != rows.size:  # one n x K temporary at a time
+        raise ValueError("votes must be 0/1")
+    return np.atleast_2d(rows), rows.ndim == 1
 
 
 def resolve_flip(weight_sum: float, pi: float) -> bool:
@@ -197,16 +200,18 @@ def predict(params, v: VoteMatrix) -> PosteriorVector:
 
     The distinct rows of ``v`` are scored as a fit scores its returned
     posterior, so ``predict(fit.params, v)`` equals ``fit.posterior`` bit for
-    bit. A judge count other than the model's is a :class:`VoteDataError`.
+    bit. A judge count other than the model's is a :class:`VoteDataError`,
+    and so are class log-likelihoods that are not finite on the votes.
     """
     if v.k != params.k:
         raise VoteDataError(f"the model was fitted on {params.k} judges but the votes have {v.k}")
     patterns, _, inverse = vote_patterns(v.votes)
-    return _predict_rows(params, patterns, inverse)
-
-
-def _predict_rows(params, patterns: np.ndarray, inverse: np.ndarray) -> PosteriorVector:
-    return PosteriorVector(_posterior(params.pi, *params.log_scores(patterns))[inverse])
+    # Parameters far out of range (fields near 1e308) overflow: an input error, not numpy warnings.
+    with np.errstate(all="ignore"):
+        s1, s0 = params.log_scores(patterns)
+        if not (np.isfinite(s1).all() and np.isfinite(s0).all()):
+            raise VoteDataError("the model's class log-likelihoods are not finite on these votes")
+        return PosteriorVector(_posterior(params.pi, s1, s0)[inverse])
 
 
 @dataclass(frozen=True)
@@ -308,4 +313,5 @@ def run(v: VoteMatrix, family, config: EMConfig, ci_fit=None) -> EMFit:
     if resolve_flip(weight_sum, params.pi):
         params = params.flipped()
         trace.flipped = True
-    return EMFit(params=params, posterior=_predict_rows(params, patterns, inverse), trace=trace)
+    posterior = PosteriorVector(_posterior(params.pi, *params.log_scores(patterns))[inverse])
+    return EMFit(params=params, posterior=posterior, trace=trace)

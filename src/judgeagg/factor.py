@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import em
-from .ci import em_fit_ci
+from .ci import ci_from_rates, ci_oracle_predict, em_fit_ci
 from .data import VoteMatrix, rng_from, separation_row, simulated_votes
-from .em import EMConfig, EMFit, check_prior, expit, judge_weights, logsumexp
+from .em import EMConfig, EMFit, check_prior, expit, logsumexp
 
 QUAD_NODES = 61
 
@@ -108,10 +108,7 @@ class MultiFactorParams:
     def weight_sum(self) -> float:
         """Judge weight sum of the CI rule on the implied per-judge rates (rank 1, like :meth:`log_scores`)."""
         (lam,) = self.loadings.T  # raises beyond rank 1
-        eps = 1e-9
-        alpha = _quad_mean(self.eta(1), lam)
-        m0 = _quad_mean(self.eta(0), lam)
-        return float(judge_weights(np.clip(alpha, eps, 1 - eps), np.clip(1.0 - m0, eps, 1 - eps)).sum())
+        return ci_from_rates(self.pi, _quad_mean(self.eta(1), lam), _quad_mean(self.eta(0), lam)).weight_sum()
 
 
 def sample_factor(p: FactorParams, k: int, n: int, seed: int) -> VoteMatrix:
@@ -142,13 +139,13 @@ def bayes_limit_score(p: FactorParams, s):
 def ci_limit_score(q0: float, q1: float, s):
     """Per-judge CI score s log(q1/q0) + (1-s) log((1-q1)/(1-q0)), elementwise over s.
 
-    Equals KL(s || q0) - KL(s || q1); positive when the vote fraction s is
-    better explained by the class-1 marginal.
+    Equals KL(s || q0) - KL(s || q1), affine in s with the one-judge CI weight
+    as slope; positive when s is better explained by the class-1 marginal.
     """
     for name, val in (("q0", q0), ("q1", q1), ("s", s)):
         if not np.all((0.0 < val) & (val < 1.0)):
             raise ValueError(f"{name} must lie strictly inside (0,1)")
-    return s * np.log(q1 / q0) + (1.0 - s) * np.log((1.0 - q1) / (1.0 - q0))
+    return np.log((1.0 - q1) / (1.0 - q0)) + s * np.log(q1 * (1.0 - q0) / (q0 * (1.0 - q1)))
 
 
 def clamp_fraction(s, k: int):
@@ -161,9 +158,9 @@ def run_factor_separation(p: FactorParams, k_grid, n: int, seed: int) -> list[di
     """Empirical risks of the two plug-in rules for each judge count.
 
     The Bayes-limit rule thresholds the asymptotic score at the clamped vote
-    fraction; the CI rule keeps the exact finite-K prior term
-    logit(pi) + K * ci_limit_score(s). Returns one row per K with risks,
-    standard errors, and their difference.
+    fraction; the CI rule is :func:`ci.ci_oracle_predict` on the raw votes,
+    with the true marginals q0 and q1 as every judge's rates. Returns one
+    row per K with risks, standard errors, and their difference.
     """
     if p.lam == 0.0:
         raise ValueError("factor degenerate (lam = 0); separation undefined")
@@ -172,10 +169,8 @@ def run_factor_separation(p: FactorParams, k_grid, n: int, seed: int) -> list[di
     rows = []
     for i, k in enumerate(k_grid):
         v = sample_factor(p, int(k), n, seed + 1000 * i)
-        s = clamp_fraction(v.votes.mean(axis=1), int(k))
-        bayes_scores = bayes_limit_score(p, s)
-        ci_scores = np.log(p.pi / (1.0 - p.pi)) + k * ci_limit_score(q0, q1, s)
-        rows.append(separation_row(k, (bayes_scores >= 0).astype(int), (ci_scores >= 0).astype(int),
+        bayes_scores = bayes_limit_score(p, clamp_fraction(v.votes.mean(axis=1), int(k)))
+        rows.append(separation_row(k, (bayes_scores >= 0).astype(int), ci_oracle_predict(q0, q1, p.pi, v.votes),
                                    v.gold_labels))
     return rows
 

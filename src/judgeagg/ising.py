@@ -15,9 +15,9 @@ from functools import cache, partial
 import numpy as np
 
 from . import em
-from .ci import CIParams, em_fit_ci
+from .ci import CIParams, ci_from_rates, em_fit_ci
 from .data import VoteMatrix, rng_from, simulated_votes
-from .em import PI_EPS, EMConfig, EMFit, check_prior, expit, logsumexp, minimize
+from .em import PI_EPS, EMConfig, EMFit, check_prior, expit, logsumexp, minimize, vote_rows
 
 K_MAX_EXACT = 15
 
@@ -108,14 +108,6 @@ class IsingParams:
         return float((self.h1 - self.h0).sum())
 
 
-@dataclass(frozen=True)
-class ExactEvidence:
-    """Log partition functions for both classes, valid up to :data:`K_MAX_EXACT`."""
-
-    log_z0: float
-    log_z1: float
-
-
 def all_configs(k: int) -> np.ndarray:
     """All 2^K binary vote vectors as a read-only (2^K, K) float matrix.
 
@@ -166,68 +158,63 @@ def log_partition(h, W) -> float:
     return float(logsumexp(ea[:, None] + eb[None, :] + (ca @ W[:m, m:]) @ cb.T))
 
 
-def exact_evidence(p: IsingParams) -> ExactEvidence:
-    return ExactEvidence(log_z0=log_partition(p.h0, p.W0), log_z1=log_partition(p.h1, p.W1))
+def _exact_log_probs(rows: np.ndarray, h: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Exact log Pr(J = row) of every row under one class model: energy - log Z, by enumeration."""
+    return _energies(rows, h, W) - log_partition(h, W)
 
 
-def class_conditional_prob(p: IsingParams, j, y: int) -> float:
-    """Exact Pr(J = j | Y = y) via enumeration; sums to 1 over all 2^K vectors."""
-    h, W = (p.h1, p.W1) if y == 1 else (p.h0, p.W0)
-    return float(np.exp(energy(j, h, W) - log_partition(h, W)))
+def class_conditional_prob(p: IsingParams, votes, y: int):
+    """Exact Pr(J = j | Y = y) via enumeration; sums to 1 over all 2^K vectors.
+
+    A float for one K-vector of 0/1 votes, an array for a matrix of rows.
+    """
+    if y not in (0, 1):
+        raise ValueError(f"y must be 0 or 1, got {y!r}")
+    rows, single = vote_rows(votes, p.k)
+    probs = np.exp(_exact_log_probs(rows, *((p.h1, p.W1) if y == 1 else (p.h0, p.W0))))
+    return float(probs[0]) if single else probs
 
 
 def class_conditional_table(p: IsingParams, y: int) -> np.ndarray:
     """Probability of every configuration (row order of :func:`all_configs`)."""
-    h, W = (p.h1, p.W1) if y == 1 else (p.h0, p.W0)
-    return np.exp(_energies(all_configs(p.k), h, W) - log_partition(h, W))
+    return class_conditional_prob(p, all_configs(p.k), y)
 
 
-def bayes_log_odds(p: IsingParams, j) -> float:
+def bayes_log_odds(p: IsingParams, votes):
     """Posterior log-odds: logit(pi) + dh.J + sum_{j<k} dW_jk J_j J_k + dZ.
 
+    A float for one K-vector of 0/1 votes, an array for a matrix of rows,
+    equal bit for bit to the per-vector values (einsum sums each row alone).
     With shared couplings the quadratic part vanishes identically and the
     rule is the linear weighted vote logit(pi) + c.J + dZ with c = h1 - h0.
     """
-    return float(bayes_log_odds_matrix(p, np.asarray(j, dtype=float)[None, :])[0])
-
-
-def bayes_log_odds_matrix(p: IsingParams, votes: np.ndarray) -> np.ndarray:
-    """:func:`bayes_log_odds` of every row of ``votes``."""
-    votes = np.asarray(votes, dtype=float)
-    ev = exact_evidence(p)
-    dh = p.h1 - p.h0
-    dW = p.W1 - p.W0
-    quad = 0.0 if p.shared_couplings else 0.5 * np.einsum("ij,jk,ik->i", votes, dW, votes)
-    dz = ev.log_z0 - ev.log_z1
-    return np.log(p.pi / (1.0 - p.pi)) + votes @ dh + quad + dz
+    rows, single = vote_rows(votes, p.k)
+    quad = 0.0 if p.shared_couplings else 0.5 * np.einsum("ij,jk,ik->i", rows, p.W1 - p.W0, rows)
+    dz = log_partition(p.h0, p.W0) - log_partition(p.h1, p.W1)
+    log_odds = np.log(p.pi / (1.0 - p.pi)) + np.einsum("ij,j->i", rows, p.h1 - p.h0) + quad + dz
+    return float(log_odds[0]) if single else log_odds
 
 
 def _class_scores(rows: np.ndarray, h: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """log Pr(J | class) per row: energy - log Z up to :data:`K_MAX_EXACT`, else the pseudo-log-likelihood.
+    """log Pr(J | class) per row: exact up to :data:`K_MAX_EXACT`, else the pseudo-log-likelihood.
 
     Both classes are scored with the same surrogate, so intercepts stay comparable.
     """
     if len(h) > K_MAX_EXACT:
         return _pll_scores(rows, h, W)
-    return _energies(rows, h, W) - log_partition(h, W)
+    return _exact_log_probs(rows, h, W)
 
 
 def ci_from_marginals(p: IsingParams) -> CIParams:
     """Best CI summary of the joint model: exact per-judge marginals.
 
     alpha_k = Pr(J_k=1 | Y=1), beta_k = 1 - Pr(J_k=1 | Y=0), computed by
-    enumeration. Feeding these into the CI log-odds gives the predictor that
-    matches the true one-dimensional marginals while ignoring couplings.
+    enumeration (:func:`ci.ci_from_rates`). Feeding these into the CI
+    log-odds gives the predictor that matches the true one-dimensional
+    marginals while ignoring couplings.
     """
     configs = all_configs(p.k)
-    m1 = class_conditional_table(p, 1) @ configs
-    m0 = class_conditional_table(p, 0) @ configs
-    eps = 1e-12
-    return CIParams(
-        pi=p.pi,
-        alpha=np.clip(m1, eps, 1 - eps),
-        beta=np.clip(1.0 - m0, eps, 1 - eps),
-    )
+    return ci_from_rates(p.pi, class_conditional_table(p, 1) @ configs, class_conditional_table(p, 0) @ configs)
 
 
 def sample_ising(h, W, n: int, seed: int) -> np.ndarray:

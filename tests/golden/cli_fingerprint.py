@@ -17,9 +17,10 @@ where it ran:
 - inputs known to exit 2 (bad counts and flags, flags a generator does not
   read, non-finite EM settings, malformed or mismatched votes and model
   files, model files that lack a field, name an unknown Ising mode, hold a
-  field of the wrong shape or a ragged list, carry both tags or nest
-  arrays 100,000 deep, vote files with an id over the csv field limit or
-  bytes that are not UTF-8, unknown names, non-finite or overflowing
+  field of the wrong shape or a ragged list, carry both tags, nest arrays
+  100,000 deep or overflow the class log-likelihoods, an evaluate split
+  that leaves one training item, vote files with an id over the csv field
+  limit or bytes that are not UTF-8, unknown names, non-finite or overflowing
   generator parameters, negative seeds, a seed given to a reproduce target
   that reads none, and each command's output path under a regular file).
 
@@ -73,6 +74,8 @@ MALFORMED_MODELS = {
     "model-ragged-alpha.json": json.dumps({**_CI, "alpha": [0.7, [0.7]]}),
     "model-both-tags.json": json.dumps({**_CI, "mode": "class_dependent"}),
     "model-deep.json": "[" * 100_000 + "]" * 100_000,
+    "model-ising-overflow.json": json.dumps({**_ISING, "h0": [1e308] * 6}),
+    "model-factor-overflow.json": json.dumps({**_FACTOR, "a": [1e308] * 6}),
 }
 
 # Copies of ci-setup-2.csv that csv.reader reads as the same votes, by file
@@ -130,6 +133,7 @@ def commands():
     yield ["evaluate", "--votes", "ci-setup-2.csv", "--models", ", ,"]
     yield ["evaluate", "--votes", "ci-setup-2.csv", "--models", "ci,nope"]
     yield ["evaluate", "--votes", "ci-setup-2.csv", "--num-judges", "9"]
+    yield ["evaluate", "--votes", "three.csv"]
     yield ["reproduce", "no-such-target"]
     for gen, flags in (("cw", ("--beta0", "nan")), ("cw", ("--h0", "nan")), ("cw", ("--c1", "nan")),
                        ("cw", ("--beta1", "inf")), ("cw", ("--c1", "inf")), ("cw", ("--beta1", "1e308")),
@@ -178,6 +182,7 @@ def main() -> None:
             (root / "afile").write_text("")
             (root / "ragged.csv").write_text("item,j1,j2\na,1,0\nb,1\n")
             (root / "unlabeled.csv").write_text("item,j1,j2\na,1,0\nb,0,0\nc,1,1\n")
+            (root / "three.csv").write_text("item,j1,j2,label\na,1,0,1\nb,0,0,0\nc,1,1,1\n")
             (root / "long-id.csv").write_text(f"item,j1\n{'x' * (csv.field_size_limit() + 1)},1\n")
             (root / "not-utf-8.csv").write_bytes(b"item,j1\na,1\nb\xff,0\n")
             for name, text in MALFORMED_MODELS.items():

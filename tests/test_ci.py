@@ -9,7 +9,10 @@ from judgeagg import (
     EMConfig,
     VoteMatrix,
     accuracy,
+    bayes_log_odds,
     ci_log_odds,
+    ci_oracle_predict,
+    class_conditional_prob,
     em_fit_ci,
     rng_from,
     sample_ci,
@@ -17,6 +20,7 @@ from judgeagg import (
     wmv_predict,
 )
 from judgeagg import presets
+from judgeagg.ci import ci_from_rates
 from judgeagg.reproduce import aligned_accuracy
 
 
@@ -67,6 +71,92 @@ class TestCiLogOdds:
                 hi = j.copy(); hi[bit] = 1
                 lo = j.copy(); lo[bit] = 0
                 assert ci_log_odds(p, hi) - ci_log_odds(p, lo) == pytest.approx(w[bit], abs=1e-12)
+
+    def test_rows_agree_with_per_vector_calls(self):
+        # Both go through CIParams.log_scores, whose BLAS matrix-vector
+        # product may round a row by an ulp differently when other rows share
+        # it; the fits' bits rest on that product, so agreement is to rounding.
+        rng = np.random.default_rng(13)
+        for k in (1, 3, 6, 9, 14):
+            p = random_params(rng, k)
+            for n in (1, 2, 3, 5, 17):
+                votes = rng.integers(0, 2, (n, k))
+                got = ci_log_odds(p, votes)
+                assert got.shape == (n,)
+                np.testing.assert_allclose(got, [ci_log_odds(p, row) for row in votes], rtol=0, atol=1e-13)
+
+
+class TestCiFromRates:
+    def test_rates_become_sensitivity_and_specificity(self):
+        p = ci_from_rates(0.3, np.array([0.8, 0.4]), np.array([0.1, 0.6]))
+        assert p.pi == 0.3
+        np.testing.assert_array_equal(p.alpha, [0.8, 0.4])
+        np.testing.assert_array_equal(p.beta, [0.9, 0.4])
+
+    def test_boundary_rates_are_clipped(self):
+        p = ci_from_rates(0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(p.alpha, [1 - 1e-12, 1e-12])
+        np.testing.assert_array_equal(p.beta, [1 - 1e-12, 1e-12])
+        assert np.isfinite(p.weights()).all()
+
+
+class TestCiOraclePredict:
+    @pytest.mark.parametrize("pi", [1.5, 1.0, 0.0])
+    def test_prior_outside_unit_interval_rejected(self, pi):
+        with pytest.raises(ValueError, match="pi must lie strictly inside"):
+            ci_oracle_predict(0.3, 0.7, pi, np.array([[1, 0, 1], [0, 0, 1]]))
+
+    def test_rate_near_the_boundary_is_clipped_not_rejected(self):
+        # 1 - q0 rounds to 1, which no CIParams specificity may be.
+        np.testing.assert_array_equal(ci_oracle_predict(1e-17, 0.5, 0.5, [[1, 0], [0, 0]]), [1, 0])
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.37])
+    def test_equal_rates_at_even_prior_label_every_row_1(self, q):
+        votes = np.random.default_rng(14).integers(0, 2, (200, 9))
+        np.testing.assert_array_equal(ci_oracle_predict(q, q, 0.5, votes), np.ones(200))
+
+    def test_labels_are_the_ci_rule_on_each_row(self):
+        rng = np.random.default_rng(15)
+        for k in (1, 4, 25, 200):
+            q0, q1, pi = rng.uniform(0.05, 0.95, 3)
+            votes = rng.integers(0, 2, (300, k))
+            p = CIParams(pi=pi, alpha=np.full(k, q1), beta=np.full(k, 1.0 - q0))
+            log_odds = ci_log_odds(p, votes)
+            clear = np.abs(log_odds) > 1e-9  # rows on the boundary may round either way
+            got = ci_oracle_predict(q0, q1, pi, votes)
+            assert got.dtype == np.int8
+            np.testing.assert_array_equal(got[clear], (log_odds >= 0)[clear])
+            assert ci_oracle_predict(q0, q1, pi, votes[0]) == got[0]
+
+
+class TestRuleVotes:
+    # The public rule functions and the one vote check they share.
+    RULES = {
+        "ci_log_odds": lambda votes: ci_log_odds(presets.CI_SETUPS[1], votes),
+        "ci_oracle_predict": lambda votes: ci_oracle_predict(0.3, 0.7, 0.5, votes),
+        "bayes_log_odds": lambda votes: bayes_log_odds(presets.CLASSDEP_DEMO, votes),
+        "class_conditional_prob": lambda votes: class_conditional_prob(presets.SHARED_DEMO, votes, 1),
+    }
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_entries_must_be_0_or_1(self, rule, bad):
+        k = 6 if rule == "ci_log_odds" else 3
+        for votes in ([bad] + [0] * (k - 1), [[1] * k, [bad] + [1] * (k - 1)]):
+            with pytest.raises(ValueError, match="votes must be 0/1"):
+                self.RULES[rule](votes)
+
+    @pytest.mark.parametrize("rule", ["ci_log_odds", "bayes_log_odds", "class_conditional_prob"])
+    def test_judge_count_must_be_the_model_s(self, rule):
+        k = 6 if rule == "ci_log_odds" else 3
+        for votes in ([1] * (k + 1), [[0] * (k - 1)] * 2):
+            with pytest.raises(ValueError, match=f"votes must hold K={k} entries per row"):
+                self.RULES[rule](votes)
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_votes_are_a_vector_or_rows(self, rule):
+        with pytest.raises(ValueError, match="votes must be a vector or a matrix of rows"):
+            self.RULES[rule](np.ones((1, 2, 3)))
 
 
 class TestMajorityVotes:

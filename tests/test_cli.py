@@ -386,12 +386,14 @@ class TestPredict:
         (json.dumps({**ISING_FILE, "W0": [[0.0] * 6] * 5 + [[0.0] * 5]}),
          "model file field 'W0' must be a number or a list of numbers"),
         (json.dumps({**CI_FILE, "mode": "class_dependent"}), "model file lacks field 'h0'"),
+        (json.dumps({**ISING_FILE, "h0": [1e308] * 6}), "the model's class log-likelihoods are not finite on these votes"),
+        (json.dumps({**FACTOR_FILE, "a": [1e308] * 6}), "the model's class log-likelihoods are not finite on these votes"),
         ("[" * 100_000 + "]" * 100_000, "{model_file}: JSON nests too deeply to read"),
         ('{"model": "ci", "pi": ' + "[" * 100_000 + "]" * 100_000 + "}", "{model_file}: JSON nests too deeply to read"),
     ], ids=["list", "number", "string", "factor-null-loadings", "ci-string-pi", "factor-nan-a", "ising-inf-h0",
             "ci-missing-alpha", "ising-missing-w1", "ising-unknown-mode", "ci-list-pi", "ci-nested-pi",
             "ising-list-pi", "ising-scalar-h0", "factor-list-pi", "ci-ragged-alpha", "ising-ragged-w0",
-            "both-tags-read-as-ising", "deep-list", "deep-pi"])
+            "both-tags-read-as-ising", "ising-overflowing-h0", "factor-overflowing-a", "deep-list", "deep-pi"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_model_file_exits_2(self, runner, tmp_path, payload, message):
         votes = simulate(runner, tmp_path, n=20)
@@ -498,6 +500,22 @@ class TestEvaluate:
         res = runner.invoke(main, ["evaluate", "--votes", str(votes), "--models", models, "--trials", "1"])
         assert res.exit_code == 2
         assert "--models names no model" in res.output
+
+    @pytest.mark.parametrize("models", ["ci", "umv,factor"])
+    def test_split_with_one_training_item_names_the_fraction(self, runner, tmp_path, models):
+        three = tmp_path / "three.csv"
+        three.write_text("item,j1,j2,label\na,1,0,1\nb,0,0,0\nc,1,1,1\n")
+        res = runner.invoke(main, ["evaluate", "--votes", str(three), "--models", models])
+        assert res.exit_code == 2
+        assert ("error: --train-fraction 0.15 splits the 3 items into 1 to train and 2 to test; "
+                "an EM fit requires at least 2 training items") in res.output
+
+    def test_uniform_vote_needs_no_training_items(self, runner, tmp_path):
+        three = tmp_path / "three.csv"
+        three.write_text("item,j1,j2,label\na,1,0,1\nb,0,0,0\nc,1,1,1\n")
+        res = runner.invoke(main, ["evaluate", "--votes", str(three), "--models", "umv", "--trials", "2"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["models"]["umv"]["mean_accuracy"] == 1.0
 
 
 class TestReproduce:

@@ -111,6 +111,18 @@ class TestClassConditional:
                 total = class_conditional_table(p, y).sum()
                 assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_rows_are_the_table_entries(self):
+        p = random_ising(np.random.default_rng(27), 5)
+        for y in (0, 1):
+            np.testing.assert_array_equal(class_conditional_prob(p, all_configs(5), y), class_conditional_table(p, y))
+
+    @pytest.mark.parametrize("y", [2, -1, 0.5])
+    def test_class_must_be_0_or_1(self, y):
+        with pytest.raises(ValueError, match="y must be 0 or 1"):
+            class_conditional_prob(presets.SHARED_DEMO, (1, 1, 1), y)
+        with pytest.raises(ValueError, match="y must be 0 or 1"):
+            class_conditional_table(presets.SHARED_DEMO, y)
+
 
 class TestBayesLogOdds:
     def test_demo_posteriors(self):
@@ -167,6 +179,17 @@ class TestBayesLogOdds:
             assert bayes_log_odds(p, j) == pytest.approx(ci_log_odds(ci, j), abs=1e-10)
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "class-dependent"])
+    def test_rows_equal_per_vector_calls_bit_for_bit(self, shared):
+        rng = np.random.default_rng(28)
+        for k in (1, 3, 6, 9, 14):
+            p = random_ising(rng, k, shared=shared)
+            for n in (1, 2, 3, 5, 17):
+                votes = rng.integers(0, 2, (n, k))
+                got = bayes_log_odds(p, votes)
+                assert got.shape == (n,)
+                np.testing.assert_array_equal(got, [bayes_log_odds(p, row) for row in votes], strict=True)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "class-dependent"])
     def test_predict_matches_quadratic_rule(self, shared):
         # em.predict scores rows as energy - log Z per class; the quadratic
         # rule is the reference it must agree with below the exact cutoff.
@@ -176,7 +199,7 @@ class TestBayesLogOdds:
             votes = (rng.random((300, k)) < 0.5).astype(np.int8)
             v = VoteMatrix(votes=votes, item_ids=tuple(map(str, range(300))),
                            judge_names=tuple(f"j{j + 1}" for j in range(k)))
-            want = expit(ising.bayes_log_odds_matrix(p, votes))
+            want = expit(bayes_log_odds(p, votes))
             np.testing.assert_allclose(predict(p, v).gamma, want, rtol=0, atol=1e-12)
 
 

@@ -17,11 +17,11 @@ from judgeagg.cli import REPRODUCE_NAMES
 from judgeagg.reproduce import REPRODUCE_TARGETS
 
 PUBLIC_NAMES = [
-    "CIParams", "CWClassSpec", "CWExperimentSpec", "EMConfig", "ExactEvidence", "ExactEvidenceUnavailable",
+    "CIParams", "CWClassSpec", "CWExperimentSpec", "EMConfig", "ExactEvidenceUnavailable",
     "FactorParams", "IsingParams", "K_MAX_EXACT", "MultiFactorParams", "PosteriorVector", "SplitSpec",
     "VoteDataError", "VoteMatrix", "accuracy", "bayes_limit_score", "bayes_log_odds", "ci", "ci_from_marginals",
     "ci_limit_score", "ci_log_odds", "ci_oracle_predict", "class_conditional_prob", "curie_weiss", "data", "em",
-    "em_fit_ci", "em_fit_factor", "em_fit_ising", "energy", "exact_evidence", "factor", "factor_to_ising",
+    "em_fit_ci", "em_fit_factor", "em_fit_ising", "energy", "factor", "factor_to_ising",
     "fit_pseudo", "ising", "load_votes", "log_partition", "magnetization_classifier", "magnetization_log_pmf",
     "marginal_success", "pseudo_log_likelihood", "pseudo_log_likelihood_grad", "rng_from",
     "run_factor_separation", "run_separation", "sample_ci", "sample_cw", "sample_factor", "sample_ising",
