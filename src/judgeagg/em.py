@@ -40,8 +40,9 @@ from .data import PosteriorVector, VoteDataError, VoteMatrix, rng_from, vote_pat
 # separates classes whose signal lives in co-voting rather than in marginals).
 INIT_STRATEGIES = ("ci", "majority", "agreement")
 
-# Relative objective margin a later restart must win by to displace an
-# earlier (more-preferred) one.
+# Objective margin, relative to 1 + |best|, a later restart must win by to
+# displace an earlier (more-preferred) one. The 1 keeps rounding from deciding
+# between restarts whose objectives all lie near 0 (unanimous votes).
 RESTART_MARGIN = 1e-4
 
 # |judge weight sum| below which :func:`resolve_flip` falls back to class balance.
@@ -160,15 +161,28 @@ def resolve_flip(weight_sum: float, pi: float) -> bool:
     return pi < 0.5
 
 
-def expit(x):
-    """Logistic sigmoid 1 / (1 + exp(-x)), elementwise, with no overflow at any input.
+def _sigmoid(x, e):
+    # With e = exp(-|x|) in [0, 1]: 1 / (1 + e) for x >= 0 and e / (1 + e)
+    # otherwise, so 0 and 1 are reached only at -inf and +inf.
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
-    With e = exp(-|x|) in [0, 1], it is 1 / (1 + e) for x >= 0 and
-    e / (1 + e) otherwise, so 0 and 1 are reached only at -inf and +inf.
+
+def expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)), elementwise, with no overflow at any input."""
+    x = np.asarray(x, dtype=float)
+    return _sigmoid(x, np.exp(-np.abs(x)))
+
+
+def logistic(x):
+    """Sigmoid and softplus log(1 + exp(x)) of ``x``, elementwise, from one exponential per entry.
+
+    The sigmoid is :func:`expit`'s, bit for bit. With e = exp(-|x|), the
+    softplus is max(x, 0) + log1p(e): 0 at -inf, +inf at +inf, and no
+    overflow at any input.
     """
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return _sigmoid(x, e), np.maximum(x, 0.0) + np.log1p(e)
 
 
 def logsumexp(a, axis=None):
@@ -277,9 +291,10 @@ def run(v: VoteMatrix, family, config: EMConfig, ci_fit=None) -> EMFit:
     the others from :func:`init_gamma`. Each restart builds ``family(patterns,
     trace, config)`` and alternates its ``step`` until the objective's relative
     change falls below ``config.tol`` or ``config.max_iters`` steps. A later
-    restart replaces the best so far only if it wins by :data:`RESTART_MARGIN`;
-    the winner's labeling is then oriented by :func:`resolve_flip`, and the
-    posterior is :func:`predict`'s at those final parameters.
+    restart replaces the best so far only if it wins by :data:`RESTART_MARGIN`
+    times 1 + |best|; the winner's labeling is then oriented by
+    :func:`resolve_flip`, and the posterior is :func:`predict`'s at those
+    final parameters.
     """
     if v.n < 2:
         raise ValueError("an EM fit requires at least 2 items")
@@ -305,7 +320,7 @@ def run(v: VoteMatrix, family, config: EMConfig, ci_fit=None) -> EMFit:
                 trace.converged = True
                 break
             prev = obj
-        if best is None or obj > best[0] + RESTART_MARGIN * abs(best[0]):
+        if best is None or obj > best[0] + RESTART_MARGIN * (1.0 + abs(best[0])):
             params = model.params(pi)
             best = obj, params, params.weight_sum(), trace
         del model  # no restart's arrays outlive it

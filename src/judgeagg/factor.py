@@ -15,7 +15,7 @@ import numpy as np
 from . import em
 from .ci import ci_from_rates, ci_oracle_predict, em_fit_ci
 from .data import VoteMatrix, rng_from, separation_row, simulated_votes
-from .em import EMConfig, EMFit, check_prior, expit, logsumexp
+from .em import EMConfig, EMFit, check_prior, expit, logistic
 
 QUAD_NODES = 61
 
@@ -202,19 +202,34 @@ def factor_log_lik(p: MultiFactorParams, votes: np.ndarray, y: int) -> np.ndarra
 
 
 def _node_scores(votes: np.ndarray, eta0: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log sum_q wq prod_j Bern(J_j; sigma(eta0_j + lam_j z_q)) per row, and each node's log share of it.
+    """log sum_q wq prod_j Bern(J_j; sigma(eta0_j + lam_j z_q)) per row, and each node's share of that sum.
 
     The per-node logits are eta0_j + lam_j z_q, so the row-dependent part
-    needs only two matvecs.
+    needs only two matvecs. The shares are the node responsibilities: each
+    row of the (rows, Q) table is non-negative and sums to 1.
     """
     base = votes @ eta0           # (n,)
     load = votes @ lam            # (n,)
     eta = eta0[None, :] + np.outer(_ZQ, lam)        # (Q, K)
-    norm = np.logaddexp(0.0, eta).sum(axis=1)       # (Q,)
+    norm = logistic(eta)[1].sum(axis=1)             # (Q,)
     scores = base[:, None] + np.outer(load, _ZQ) - norm[None, :] + _LOG_WQ[None, :]
-    evidence = logsumexp(scores, axis=1)
-    scores -= evidence[:, None]
-    return evidence, scores
+    return _normalize_rows(scores)
+
+
+def _normalize_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log sum_q exp(scores) per row (as :func:`em.logsumexp`), and ``scores`` overwritten with the row shares.
+
+    Each row is shifted by its maximum, exponentiated in place and divided
+    by its sum. A row whose maximum is not finite is not shifted.
+    """
+    top = scores.max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    scores -= top[:, None]
+    np.exp(scores, out=scores)
+    total = scores.sum(axis=1)
+    scores /= total[:, None]
+    with np.errstate(divide="ignore"):
+        return np.log(total) + top, scores
 
 
 def em_fit_factor(v: VoteMatrix, r: int = 1, config: EMConfig = EMConfig()) -> EMFit:
@@ -248,16 +263,16 @@ class _FactorModel:
         self._scores()
 
     def _scores(self):
-        """Class-1 and class-0 evidence per pattern; keeps both node log-responsibilities."""
-        self.log_r = None  # the last step's are spent; free them before building new ones
+        """Class-1 and class-0 evidence per pattern; keeps both classes' node responsibilities."""
+        self.resp = None  # the last step's are spent; free them before building new ones
         (l0, r0), (l1, r1) = (_node_scores(self.patterns, eta0, self.lam) for eta0 in (self.b, self.a + self.b))
-        self.log_r = r0, r1
+        self.resp = r0, r1
         return l1, l0
 
     def _mstep(self, w1, w0):
         """Improve the quadrature log-likelihood, rows weighted by w1 and w0, via its node minorizer.
 
-        The family's ``log_r`` holds the class-0 and class-1 node log-responsibilities
+        The family's ``resp`` holds the class-0 and class-1 node responsibilities
         at the current parameters (from :func:`_node_scores`); the resulting bound is,
         for each judge, a weighted logistic log-likelihood in (a_j, b_j, lam_j)
         with node-level weights shared across judges. One :func:`em.minimize`
@@ -265,16 +280,16 @@ class _FactorModel:
         keeps the bound (and hence the objective) from decreasing.
         """
         k, x = len(self.a), _NODE_FEATURES
-        gw = [w[:, None] * np.exp(r) for w, r in zip((w0, w1), self.log_r)]   # (n, Q) per class
-        cw = np.concatenate([g.sum(axis=0) for g in gw])                        # sum_i g R per node, (2Q,)
-        dw = np.concatenate([self.patterns.T @ g for g in gw], axis=1)          # sum_i g R J per judge, (K, 2Q)
+        # Per class: sum_i w R per node, (Q,), and sum_i w R J per judge, (K, Q).
+        cw = np.concatenate([w @ r for w, r in zip((w0, w1), self.resp)])
+        dw = np.concatenate([(self.patterns * w[:, None]).T @ r for w, r in zip((w0, w1), self.resp)], axis=1)
 
         def neg_bound(flat):
             eta = flat.reshape(k, 3) @ x.T                                      # (K, 2Q)
-            sig = expit(eta)
+            sig, softplus = logistic(eta)
             hess = np.zeros((k, 3, k, 3))
             hess[np.arange(k), :, np.arange(k), :] = np.einsum("kq,qa,qb->kab", cw * sig * (1.0 - sig), x, x)
-            return (np.logaddexp(0.0, eta).sum(axis=0) @ cw - np.sum(dw * eta),
+            return (softplus.sum(axis=0) @ cw - np.sum(dw * eta),
                     ((cw * sig - dw) @ x).ravel(), hess.reshape(3 * k, 3 * k))
 
         theta = em.minimize(neg_bound, np.stack([self.a, self.b, self.lam], axis=1).ravel()).x.reshape(k, 3)

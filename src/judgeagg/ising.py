@@ -17,7 +17,7 @@ import numpy as np
 from . import em
 from .ci import CIParams, ci_from_rates, em_fit_ci
 from .data import VoteMatrix, rng_from, simulated_votes
-from .em import PI_EPS, EMConfig, EMFit, check_prior, expit, logsumexp, minimize, vote_rows
+from .em import PI_EPS, EMConfig, EMFit, check_prior, expit, logistic, logsumexp, minimize, vote_rows
 
 K_MAX_EXACT = 15
 
@@ -274,7 +274,7 @@ def _flat_prior_pll(h, W, v, weights, lam):
 def _pll_scores(votes: np.ndarray, h: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Per-item pseudo-log-likelihood under one class model."""
     eta = h[None, :] + votes @ W
-    return np.sum(votes * eta - np.logaddexp(0.0, eta), axis=1)
+    return np.sum(votes * eta - logistic(eta)[1], axis=1)
 
 
 @cache
@@ -295,9 +295,10 @@ def _unpack(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _field_prior(h: np.ndarray, a: float, b: float) -> tuple[float, np.ndarray, np.ndarray]:
     # Beta(a,b) on each sigma(h_j): keeps fields finite under degenerate
-    # weights. For class 0, sigma(h_j) is P(J=1 | Y=0), while the CI fitter
-    # puts Beta(a,b) on the specificity P(J=0 | Y=0), so the K=1 model is the
-    # CI fitter's only when a = b.
+    # weights. Class 1 passes (a, b), a prior on the sensitivity
+    # P(J=1 | Y=1); class 0 passes (b, a), since sigma(h_j) is then
+    # P(J=1 | Y=0) and Beta(a,b) belongs on the specificity P(J=0 | Y=0), as
+    # in the CI fitter.
     # A term whose exponent is 0 is left out: once sigma(h_j) rounds to 0 or
     # 1 (|h_j| past about 37) it would be 0 * log(0), which is NaN.
     # Returns the value, its gradient and its negated second derivative.
@@ -385,8 +386,8 @@ def _neg_pll_newton(x, design: _PLLDesign, weights, lam, a, b):
     votes = design.votes
     h, W = _unpack(x, k)
     eta = h[None, :] + votes @ W
-    sig = expit(eta)
-    ll = np.sum(weights[:, None] * (votes * eta - np.logaddexp(0.0, eta)))
+    sig, softplus = logistic(eta)
+    ll = np.sum(weights[:, None] * (votes * eta - softplus))
     pv, pg, pc = _field_prior(h, a, b)
     ll += pv - lam * np.sum(W ** 2)
     resid = weights[:, None] * (votes - sig)
@@ -405,10 +406,13 @@ def _shared_slots(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _neg_pll_newton_shared(xj, design: _PLLDesign, w1, w0, lam, a, b):
-    """Both class models with one shared W, each with half the ridge: value, gradient, Hessian."""
+    """Both class models with one shared W, each with half the ridge: value, gradient, Hessian.
+
+    Class 0's field prior is Beta(b, a) on P(J=1 | Y=0) (see :func:`_field_prior`).
+    """
     i1, i0 = _shared_slots(design.k)
     f1, g1, h1 = _neg_pll_newton(xj[i1], design, w1, lam / 2, a, b)
-    f0, g0, h0 = _neg_pll_newton(xj[i0], design, w0, lam / 2, a, b)
+    f0, g0, h0 = _neg_pll_newton(xj[i0], design, w0, lam / 2, b, a)
     grad = np.zeros(len(xj))
     grad[i1] += g1
     grad[i0] += g0
@@ -464,9 +468,8 @@ def em_fit_ising(v: VoteMatrix, mode: str = "class_dependent", config: EMConfig 
         warnings.warn(f"exact evidence unavailable for K={v.k} (cutoff {K_MAX_EXACT}); "
                       "E-step falls back to pseudo-likelihood class scores")
     family = partial(_IsingModel, shared=mode == "class_independent")
-    # With a single judge no couplings exist and, when prior_a == prior_b, the
-    # model is the CI fitter's; run its single majority start (no CI warm
-    # start) so that the outputs then agree.
+    # With a single judge no couplings exist and the model is the CI fitter's;
+    # run its single majority start (no CI warm start) so that the outputs agree.
     return em.run(v, family, config, ci_fit=None if v.k == 1 else em_fit_ci)
 
 
@@ -488,7 +491,7 @@ class _IsingModel:
         k = self.design.k
         (h1, W1), (h0, W0) = _unpack(x1, k), _unpack(x0, k)
         ridge = np.sum(W1 ** 2) if self.shared else np.sum(W0 ** 2) + np.sum(W1 ** 2)
-        penalty = _field_prior(h0, self.a, self.b)[0] + _field_prior(h1, self.a, self.b)[0] - LAMBDA_REG * ridge
+        penalty = _field_prior(h0, self.b, self.a)[0] + _field_prior(h1, self.a, self.b)[0] - LAMBDA_REG * ridge
         return _class_scores(self.patterns, h1, W1), _class_scores(self.patterns, h0, W0), penalty
 
     def _mstep(self, w1, w0):
@@ -497,14 +500,14 @@ class _IsingModel:
         votes, k = design.votes, design.k
         if k == 1:
             # No couplings exist: the weighted Bernoulli MAP has a closed form,
-            # kept inside (0,1) as the CI fitter's update is. It is that update
-            # when a = b (see _field_prior).
+            # kept inside (0,1) as the CI fitter's update is (see _field_prior).
             s1 = np.clip((a - 1.0 + w1 @ votes[:, 0]) / (a + b - 2.0 + w1.sum()), PI_EPS, 1.0 - PI_EPS)
-            s0 = np.clip((a - 1.0 + w0 @ votes[:, 0]) / (a + b - 2.0 + w0.sum()), PI_EPS, 1.0 - PI_EPS)
+            s0 = np.clip((b - 1.0 + w0 @ votes[:, 0]) / (a + b - 2.0 + w0.sum()), PI_EPS, 1.0 - PI_EPS)
             return np.array([np.log(s1 / (1 - s1))]), np.array([np.log(s0 / (1 - s0))])
         if not self.shared:
-            pll = partial(_neg_pll_newton, design=design, lam=LAMBDA_REG, a=a, b=b)
-            return minimize(partial(pll, weights=w1), self.x1).x, minimize(partial(pll, weights=w0), self.x0).x
+            pll = partial(_neg_pll_newton, design=design, lam=LAMBDA_REG)
+            return (minimize(partial(pll, weights=w1, a=a, b=b), self.x1).x,
+                    minimize(partial(pll, weights=w0, a=b, b=a), self.x0).x)
         # Shared couplings: one joint solve over (h1, h0, W) so W0 = W1 holds
         # exactly rather than by post-hoc averaging.
         i1, i0 = _shared_slots(k)

@@ -165,6 +165,26 @@ class TestSpecialFunctionsMatchScipy:
         assert em.expit(np.zeros((2, 3))).shape == (2, 3)
         assert isinstance(em.expit(0.25), float)
 
+    def test_logistic_sigmoid_is_expit_and_softplus_within_4_ulp(self):
+        rng = np.random.default_rng(5)
+        x = np.concatenate([[0.0, -0.0, 40.0, -40.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf],
+                            rng.uniform(-750.0, 750.0, 200_000), rng.normal(0.0, 5.0, 200_000),
+                            np.linspace(-40.0, 40.0, 100_001)])
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            sig, softplus = em.logistic(x)
+        assert np.array_equal(sig, em.expit(x))
+        want = np.logaddexp(0.0, x)
+        finite = np.isfinite(x)
+        assert np.all(np.abs(softplus[finite] - want[finite]) <= 4 * np.spacing(want[finite]))
+        assert softplus[9] == 0.0 and softplus[8] == np.inf
+        assert softplus[6] == 1e308 and softplus[7] == 0.0
+
+    def test_logistic_keeps_shape_and_scalars(self):
+        assert [a.shape for a in em.logistic(np.zeros((2, 3)))] == [(2, 3), (2, 3)]
+        sig, softplus = em.logistic(0.25)
+        assert isinstance(sig, float) and isinstance(softplus, float)
+
     def test_logsumexp_within_1e_13(self):
         from scipy.special import logsumexp as reference
 
@@ -279,6 +299,30 @@ def test_engine_keeps_no_restart_model_alive():
     assert CountingFamily.alive == 0
     assert fit.trace.init_used == em.INIT_STRATEGIES[-1]
     assert fit.posterior.gamma.shape == (v.n,)
+
+
+def test_restarts_tied_near_a_zero_objective_keep_the_first():
+    # The margin is relative to 1 + |best|, so restarts whose objectives all
+    # lie near 0 (as on unanimous votes) and differ by rounding-sized amounts
+    # cannot displace the preferred first restart.
+    penalties = {"ci": -3e-9, "majority": -2e-9, "agreement": -1e-9}
+
+    class TiedFamily:
+        def __init__(self, patterns, trace, config):
+            self.patterns, self.penalty = patterns, penalties[trace.init_used]
+
+        def step(self, w1, w0, pi):
+            scores = np.zeros(len(self.patterns))
+            return scores, scores, self.penalty
+
+        def params(self, pi):
+            k = self.patterns.shape[1]
+            return CIParams(pi=pi, alpha=np.full(k, 0.8), beta=np.full(k, 0.7))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = em.run(_constant_column_votes(), TiedFamily, EMConfig(), ci_fit=em_fit_ci)
+    assert fit.trace.init_used == "ci"
 
 
 def test_run_without_a_hook_runs_the_majority_restart_alone():

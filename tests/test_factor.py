@@ -18,6 +18,7 @@ from judgeagg import (
     sample_factor,
 )
 from judgeagg import em, ising
+from judgeagg import factor
 from judgeagg.factor import _quad_mean, factor_log_lik
 from judgeagg.reproduce import aligned_accuracy
 
@@ -320,3 +321,50 @@ class TestEmFitFactor:
         for res, f, gmax in solves:
             assert res.success and res.nfev >= 1 and res.fun == f and res.x.shape == (3 * v.k,)
             assert gmax <= 1e-9 * (1.0 + abs(f))
+
+
+class TestNodeScores:
+    """The factor E-step hands normalized node responsibilities to the M-step."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(26)
+        patterns = np.unique((rng.random((600, 8)) < 0.4).astype(float), axis=0)
+        return patterns, rng.normal(0.0, 1.0, 8), rng.normal(0.0, 0.8, 8), rng.uniform(0.0, 5.0, len(patterns))
+
+    @staticmethod
+    def _log_scores(patterns, eta0, lam):
+        """Unshifted node log-scores, summed per judge with np.logaddexp as the reference softplus."""
+        eta = eta0[None, :] + np.outer(factor._ZQ, lam)  # (Q, K)
+        per_judge = patterns[:, None, :] * eta[None] - np.logaddexp(0.0, eta)[None]
+        return per_judge.sum(axis=2) + factor._LOG_WQ[None, :]
+
+    def test_responsibilities_are_normalized_and_evidence_is_the_log_sum(self):
+        patterns, eta0, lam, _ = self._inputs()
+        evidence, resp = factor._node_scores(patterns, eta0, lam)
+        scores = self._log_scores(patterns, eta0, lam)
+        assert resp.shape == scores.shape
+        assert (resp >= 0.0).all()
+        np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(evidence, em.logsumexp(scores, axis=1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(resp, np.exp(scores - evidence[:, None]), rtol=0, atol=1e-13)
+
+    def test_evidence_keeps_logsumexps_rule_for_rows_without_a_finite_maximum(self):
+        rng = np.random.default_rng(27)
+        scores = rng.normal(0.0, 30.0, (5, factor.QUAD_NODES))
+        scores[1] = -np.inf
+        scores[3, 7] = np.inf
+        want = em.logsumexp(scores, axis=1)
+        with np.errstate(invalid="ignore"):  # the shares of those two rows are 0/0 and inf/inf
+            evidence, resp = factor._normalize_rows(scores.copy())
+        assert evidence[1] == -np.inf and evidence[3] == np.inf
+        np.testing.assert_allclose(evidence, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(resp[[0, 2, 4]].sum(axis=1), 1.0, rtol=0, atol=1e-13)
+
+    def test_mstep_sums_over_responsibilities_match_the_n_by_q_forms(self):
+        patterns, eta0, lam, w = self._inputs()
+        _, resp = factor._node_scores(patterns, eta0, lam)
+        scores = self._log_scores(patterns, eta0, lam)
+        weighted = w[:, None] * np.exp(scores - em.logsumexp(scores, axis=1)[:, None])  # (n, Q)
+        np.testing.assert_allclose(w @ resp, weighted.sum(axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose((patterns * w[:, None]).T @ resp, patterns.T @ weighted, rtol=1e-12, atol=0)

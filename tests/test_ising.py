@@ -482,16 +482,18 @@ class TestEmFitIsing:
             em_fit_ising(sample_labeled(presets.SHARED_DEMO, 50, 0), "class_whatever")
 
     def test_single_judge_matches_ci_fitter(self):
-        # Only under a symmetric prior: the Ising prior on class 0 is on
-        # P(J=1 | Y=0), the CI fitter's on the specificity P(J=0 | Y=0).
+        # Both fitters put Beta(a, b) on the class-1 rate and on the
+        # specificity P(J=0 | Y=0), so they agree under an asymmetric prior too.
         v = __import__("judgeagg").sample_ci(
             CIParams(pi=0.6, alpha=np.array([0.8]), beta=np.array([0.75])), 500, 7)
-        for config in (EMConfig(seed=3), EMConfig(seed=3, prior_a=3.0, prior_b=3.0)):
-            fit_i = em_fit_ising(v, "class_dependent", config)
+        for config in (EMConfig(seed=3), EMConfig(seed=3, prior_a=3.0, prior_b=3.0),
+                       EMConfig(seed=3, prior_a=3.0, prior_b=1.5)):
             fit_c = em_fit_ci(v, config)
-            np.testing.assert_allclose(fit_i.posterior.gamma, fit_c.posterior.gamma, atol=1e-9)
-            assert expit(fit_i.params.h1[0]) == pytest.approx(float(fit_c.params.alpha[0]), abs=1e-9)
-            assert expit(-fit_i.params.h0[0]) == pytest.approx(float(fit_c.params.beta[0]), abs=1e-9)
+            for mode in ("class_dependent", "class_independent"):
+                fit_i = em_fit_ising(v, mode, config)
+                np.testing.assert_allclose(fit_i.posterior.gamma, fit_c.posterior.gamma, atol=1e-9)
+                assert expit(fit_i.params.h1[0]) == pytest.approx(float(fit_c.params.alpha[0]), abs=1e-9)
+                assert expit(-fit_i.params.h0[0]) == pytest.approx(float(fit_c.params.beta[0]), abs=1e-9)
 
     def test_shared_demo_dependence_gain(self):
         # The enumerated population ceiling for this generator is 0.8625

@@ -122,6 +122,17 @@ def test_runtime_dependencies_are_numpy_and_click():
     assert names == RUNTIME_DEPENDENCIES
 
 
+def test_no_module_calls_np_logaddexp():
+    # The softplus has one home, em.logistic, which shares its exponential with the sigmoid.
+    sources = sorted((ROOT / "src" / "judgeagg").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute | ast.alias):
+                names = (getattr(node, "attr", None), getattr(node, "name", None))
+                assert "logaddexp" not in names, f"{path.name}:{node.lineno} reaches np.logaddexp; call em.logistic"
+
+
 def test_package_imports_only_stdlib_numpy_and_click():
     allowed = set(sys.stdlib_module_names) | RUNTIME_DEPENDENCIES | {"judgeagg"}
     sources = sorted((ROOT / "src" / "judgeagg").glob("*.py"))
