@@ -19,14 +19,20 @@ class VoteDataError(ValueError):
     """Malformed vote data (bad CSV cell, ragged row, empty file, ...)."""
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def rng_from(seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator derived from one 64-bit seed and a stream key.
 
     Every random stream in the package flows through this helper so that a
     single seed plus a structural key (trial index, K value, restart index...)
-    reproduces any sub-experiment bit-for-bit. A negative seed is a ValueError.
+    reproduces any sub-experiment bit-for-bit. A seed that is negative or not
+    an integer (1.5 would draw seed 1's stream) is a ValueError.
     """
-    if seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))

@@ -28,11 +28,14 @@ shallow copy of a family is a snapshot of its state.
 
 from __future__ import annotations
 
+import os
+import pickle
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PosteriorVector, VoteDataError, VoteMatrix, rng_from, vote_patterns
+from .data import PosteriorVector, VoteDataError, VoteMatrix, is_integer, rng_from, vote_patterns
 
 # Initialization strategies of a fit given a CI warm start, in order of
 # preference when objectives tie: warm start from the CI solution, then
@@ -64,11 +67,13 @@ class EMConfig:
     prior_b: float = 2.0
 
     def __post_init__(self):
+        if not is_integer(self.max_iters):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters}")
         if not 0.0 < self.tol < np.inf or self.max_iters < 1:
             raise ValueError("tol must be positive and finite, and max_iters at least 1")
         if not (1.0 <= self.prior_a < np.inf and 1.0 <= self.prior_b < np.inf):
             raise ValueError("Beta prior parameters must be finite and >= 1 (log-concave MAP updates)")
-        if self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
@@ -256,6 +261,8 @@ def minimize(fun, x0) -> NewtonResult:
     of ``perfbench`` wraps to time pseudo-likelihood solves and read
     ``nfev`` (value+gradient+Hessian evaluations) and ``nit`` (accepted
     steps); the factor M-step calls ``em.minimize``, outside that trace.
+    Only the solves of restarts run by :func:`run`'s caller reach the
+    trace: a restart run by a forked helper records its calls there.
     """
     x = np.asarray(x0, dtype=float)
     f, g, hess = fun(x)
@@ -285,22 +292,25 @@ def minimize(fun, x0) -> NewtonResult:
 def run(v: VoteMatrix, family, config: EMConfig, ci_fit=None) -> EMFit:
     """Fit one model family by EM over the distinct vote rows of ``v``.
 
-    Runs one restart per initialization strategy, in order: all of
+    Runs one restart per initialization strategy: all of
     :data:`INIT_STRATEGIES` given a ``ci_fit`` hook, "majority" alone without.
     "ci" starts from ``ci_fit(v, config)``'s posteriors (clipped interior),
     the others from :func:`init_gamma`. Each restart builds ``family(patterns,
     trace, config)`` and alternates its ``step`` until the objective's relative
-    change falls below ``config.tol`` or ``config.max_iters`` steps. A later
+    change falls below ``config.tol`` or ``config.max_iters`` steps. No
+    restart reads another's state, so :func:`_run_restarts` may run them side
+    by side; the outcome is that of running them in order. A later
     restart replaces the best so far only if it wins by :data:`RESTART_MARGIN`
     times 1 + |best|; the winner's labeling is then oriented by
     :func:`resolve_flip`, and the posterior is :func:`predict`'s at those
-    final parameters.
+    final parameters. A function wrapped to be traced (``minimize``, say)
+    records only the calls of restarts that run in this process.
     """
     if v.n < 2:
         raise ValueError("an EM fit requires at least 2 items")
     patterns, counts, inverse = vote_patterns(v.votes)
-    best = None
-    for strategy in INIT_STRATEGIES if ci_fit is not None else ("majority",):
+
+    def restart(strategy):
         gamma0 = (np.clip(ci_fit(v, config).posterior.gamma, 1e-3, 1 - 1e-3) if strategy == "ci"
                   else init_gamma(v.votes, config.seed, strategy))
         w1 = np.bincount(inverse, weights=gamma0)
@@ -320,13 +330,151 @@ def run(v: VoteMatrix, family, config: EMConfig, ci_fit=None) -> EMFit:
                 trace.converged = True
                 break
             prev = obj
+        params = model.params(pi)
+        return obj, params, params.weight_sum(), trace  # the model, and its arrays, go with this frame
+
+    best = None
+    strategies = INIT_STRATEGIES if ci_fit is not None else ("majority",)
+    for obj, params, weight_sum, trace in _run_restarts(restart, strategies):
         if best is None or obj > best[0] + RESTART_MARGIN * (1.0 + abs(best[0])):
-            params = model.params(pi)
-            best = obj, params, params.weight_sum(), trace
-        del model  # no restart's arrays outlive it
+            best = obj, params, weight_sum, trace
     _, params, weight_sum, trace = best
     if resolve_flip(weight_sum, params.pi):
         params = params.flipped()
         trace.flipped = True
     posterior = PosteriorVector(_posterior(params.pi, *params.log_scores(patterns))[inverse])
     return EMFit(params=params, posterior=posterior, trace=trace)
+
+
+def _helper_count(restarts: int) -> int:
+    """How many helper processes :func:`_run_restarts` forks for ``restarts`` restarts.
+
+    One per usable CPU beyond the caller's, and at most one per restart
+    beyond the first. None without ``os.fork`` and ``os.sched_getaffinity``,
+    and none unless the process runs exactly one OS thread: forking a
+    multi-threaded process is unsafe, and a threaded BLAS pool in the caller
+    and in each helper would contend for the same CPUs.
+    """
+    if restarts < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 0
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # no procfs: the thread count is unknown
+        return 0
+    return 0 if threads != 1 else min(restarts, len(os.sched_getaffinity(0))) - 1
+
+
+def _run_restarts(restart, strategies) -> list:
+    """``[restart(s) for s in strategies]``, with the restarts after the first shared among forked helpers.
+
+    The caller runs the first restart itself ("ci" under a hook, so the
+    nested CI fit runs in this process). The others go on a queue, one byte
+    per index in a pipe, that :func:`_helper_count` helpers forked here and
+    the caller, once its own restart is done, take from. A helper sends each
+    finished restart back pickled, with the warnings it raised, and leaves by
+    ``os._exit``. Results are then taken in strategy order: each restart's
+    warnings are raised again, then its exception, if any, with the same type
+    and message; a restart whose helper died unsent is a RuntimeError naming
+    the exit status. With no helper, every restart runs in the caller, in
+    order, as a plain loop would run them. No helper and no pipe outlives the
+    call.
+    """
+    done = {}  # index -> (result, warnings, error)
+    queue, feed = os.pipe()
+    fds, pids, codes = [queue, feed], [], {}
+    try:
+        os.write(feed, bytes(range(1, len(strategies))))
+        fds.remove(feed)
+        os.close(feed)
+        for _ in range(_helper_count(len(strategies))):
+            out, inp = os.pipe()
+            fds += [out, inp]
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the helpers started so far share the queue
+                break
+            if pid == 0:
+                _helper(restart, strategies, queue, inp)
+            pids.append((pid, out))
+            fds.remove(inp)
+            os.close(inp)
+        first = restart(strategies[0])
+        while taken := os.read(queue, 1):
+            i = taken[0]
+            done[i] = _attempt(restart, strategies[i]) if pids else (restart(strategies[i]), [], None)
+        for pid, out in pids:
+            chunks = []
+            while chunk := os.read(out, 1 << 16):
+                chunks.append(chunk)
+            for i, result, caught, error in _frames(b"".join(chunks)):
+                done[i] = result, caught, error and _rebuilt(*error)
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        for pid, _ in pids:
+            if pid not in codes:
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+    results = [first]
+    for i, strategy in enumerate(strategies[1:], 1):
+        if i not in done:
+            status = ", ".join(str(c) for c in codes.values() if c)
+            raise RuntimeError(f"the {strategy!r} restart was lost: its helper process ended with exit status {status}")
+        result, caught, error = done[i]
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
+
+
+def _attempt(restart, strategy):
+    """``restart(strategy)`` as ``(result, warnings, error)``: the warnings it raised, and what it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result, error = restart(strategy), None
+        except Exception as exc:  # raised again, in order, by _run_restarts
+            result, error = None, exc
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
+
+
+def _helper(restart, strategies, queue, out) -> None:
+    """A forked helper: run the restarts taken from ``queue``, send each to ``out`` and leave, never returning."""
+    status = 1
+    try:
+        while taken := os.read(queue, 1):
+            i = taken[0]
+            result, caught, error = _attempt(restart, strategies[i])
+            # An exception is sent as its type, args and attributes, so that its
+            # __init__, which may take other arguments, is not called again.
+            try:
+                data = pickle.dumps((i, result, caught, error and (type(error), error.args, vars(error))))
+            except Exception as exc:  # an unpicklable outcome: send why instead
+                data = pickle.dumps((i, None, [], (RuntimeError, (f"the {strategies[i]!r} restart's outcome "
+                                                                  f"cannot be pickled: {exc}",), {})))
+            frame = memoryview(len(data).to_bytes(8, "little") + data)
+            while frame:
+                frame = frame[os.write(out, frame):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _rebuilt(cls, args, state) -> BaseException:
+    """The exception of type ``cls`` with these args and attributes, built without calling its __init__."""
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
+
+def _frames(data: bytes):
+    """The messages in ``data``, each an 8-byte length then a pickle; a cut-off last one is dropped."""
+    pos = 0
+    while pos + 8 <= len(data):
+        end = pos + 8 + int.from_bytes(data[pos:pos + 8], "little")
+        if end > len(data):
+            return
+        yield pickle.loads(data[pos + 8:end])
+        pos = end

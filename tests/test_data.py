@@ -189,6 +189,17 @@ def test_rng_from_rejects_a_negative_seed():
         rng_from(-1, 3)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, True])
+def test_rng_from_rejects_a_seed_that_is_not_an_integer(seed):
+    # int(1.5) would silently draw seed 1's stream.
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+        rng_from(seed, 91, 0)
+
+
+def test_rng_from_takes_numpy_integer_seeds():
+    assert rng_from(np.uint64(7), 3).random() == rng_from(7, 3).random()
+
+
 class TestAccuracy:
     def test_identity(self):
         assert accuracy([1, 0, 1], [1, 0, 1]) == 1.0

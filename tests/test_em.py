@@ -3,6 +3,14 @@
 import copy
 import dataclasses
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
+import threading
+import time
 import warnings
 from functools import partial
 from pathlib import Path
@@ -84,6 +92,25 @@ def test_em_config_rejects_non_finite_values(name, value):
 def test_em_config_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
         EMConfig(seed=-1)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("max_iters", 2.5, "max_iters must be an integer, got 2.5"),
+    ("max_iters", True, "max_iters must be an integer, got True"),
+    ("max_iters", "5", "max_iters must be an integer, got 5"),
+    ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+    ("seed", np.float64(1.0), "seed must be a non-negative integer, got 1.0"),
+    ("seed", False, "seed must be a non-negative integer, got False"),
+])
+def test_em_config_rejects_non_integer_counts_by_name(name, value, message):
+    # 2.5 iterations used to fail later inside em.run, and seed 1.5 drew seed 1's stream.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EMConfig(**{name: value})
+
+
+def test_em_config_accepts_numpy_integers():
+    config = EMConfig(max_iters=np.int64(5), seed=np.uint32(3))
+    assert config.max_iters == 5 and config.seed == 3
 
 
 @pytest.mark.parametrize("make", [
@@ -264,9 +291,10 @@ def test_constant_judge_columns_give_finite_fit(family, tmp_path):
 
 
 
-def test_engine_keeps_no_restart_model_alive():
+def test_engine_keeps_no_restart_model_alive(monkeypatch):
     # The engine keeps the winning restart's parameters and weight sum, not
     # its model, so each restart's arrays are freed before the next is built.
+    monkeypatch.setattr(em, "_helper_count", lambda restarts: 0)  # every restart is counted here
     class CountingFamily:
         """A fake family that counts its live instances; each new restart wins."""
 
@@ -445,3 +473,183 @@ def test_flipping_negates_weight_sum(p):
     w = p.weight_sum()
     assert abs(w) > 1.0
     assert abs(p.flipped().weight_sum() + w) <= 1e-12 * abs(w)
+
+
+@pytest.fixture
+def no_leftovers():
+    """Fails the test if it leaves a child process or an open file descriptor behind."""
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Sets the helper count with ``forks.helpers = n`` and counts the helpers forked in ``forks.count``."""
+    state = type("Forks", (), {"helpers": 0, "count": 0})()
+    fork = os.fork
+
+    def counted():
+        state.count += 1
+        return fork()
+
+    monkeypatch.setattr(em, "_helper_count", lambda restarts: min(state.helpers, restarts - 1))
+    monkeypatch.setattr(os, "fork", counted)
+    return state
+
+
+# Forking a process whose BLAS pool runs threads: Python 3.12 warns about it.
+forks_beside_threads = pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+
+SCHEDULED_FITTERS = {
+    "ising-classdep": lambda v: em_fit_ising(v, "class_dependent", EMConfig(seed=3)),
+    "ising-shared": lambda v: em_fit_ising(v, "class_independent", EMConfig(seed=3)),
+    "factor": lambda v: em_fit_factor(v, 1, EMConfig(seed=3)),
+}
+
+
+@forks_beside_threads
+@pytest.mark.parametrize("helpers", [0, 1, 2])
+@pytest.mark.parametrize("family", list(SCHEDULED_FITTERS))
+def test_restarts_run_by_helpers_give_bit_identical_fits(family, helpers, forks, no_leftovers):
+    v = sample_ci(CIParams(pi=0.4, alpha=np.array([0.9, 0.8, 0.7, 0.6]), beta=np.array([0.6, 0.7, 0.8, 0.9])),
+                  300, 11)
+    want = SCHEDULED_FITTERS[family](v)  # every restart in this process
+    assert forks.count == 0
+    forks.helpers = helpers
+    got = SCHEDULED_FITTERS[family](v)
+    assert forks.count == helpers
+    assert vars(got.params).keys() == vars(want.params).keys()
+    for name, value in vars(want.params).items():
+        assert np.array_equal(getattr(got.params, name), value), name
+    assert np.array_equal(got.posterior.gamma, want.posterior.gamma)
+    for name in ("objective", "loglik", "notes", "init_used", "converged", "flipped"):
+        assert getattr(got.trace, name) == getattr(want.trace, name), name
+
+
+def _stub_family(behave):
+    """The CI family, except that its restart from strategy s first calls ``behave[s]()``, if given."""
+    def family(patterns, trace, config):
+        behave.get(trace.init_used, lambda: None)()
+        return ci._CIModel(patterns, trace, config)
+    return family
+
+
+def _stub_fit(behave):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return em.run(_constant_column_votes(), _stub_family(behave), EMConfig(), ci_fit=em_fit_ci)
+
+
+def _raise(exc):
+    raise exc
+
+
+@forks_beside_threads
+@pytest.mark.parametrize("helpers", [0, 1, 2])
+def test_a_restart_error_keeps_its_type_and_message(helpers, forks, no_leftovers):
+    forks.helpers = helpers
+    with pytest.raises(ValueError, match="^the agreement restart failed: 7$"):
+        _stub_fit({"agreement": lambda: _raise(ValueError("the agreement restart failed: 7"))})
+    # An error whose __init__ takes other arguments than its args comes back whole.
+    h, w = np.arange(3.0), np.eye(3)
+    with pytest.raises(ising.PseudoFitError, match="^step cap$") as err:
+        _stub_fit({"majority": lambda: _raise(ising.PseudoFitError("step cap", h, w))})
+    assert np.array_equal(err.value.best_h, h) and np.array_equal(err.value.best_w, w)
+
+
+@forks_beside_threads
+@pytest.mark.parametrize("helpers", [0, 1, 2])
+def test_restart_warnings_reach_the_caller_once_in_restart_order(helpers, forks, no_leftovers):
+    forks.helpers = helpers
+    with pytest.warns(UserWarning) as record:
+        _stub_fit({s: partial(warnings.warn, f"from {s}", UserWarning) for s in em.INIT_STRATEGIES})
+    assert [str(w.message) for w in record if w.category is UserWarning] == [f"from {s}" for s in em.INIT_STRATEGIES]
+
+
+@forks_beside_threads
+@pytest.mark.parametrize("helpers", [1, 2])
+def test_a_helper_killed_before_sending_is_a_runtime_error(helpers, forks, no_leftovers):
+    # The "ci" restart waits until a helper has started a restart, and a
+    # restart run by a helper kills its process; one run here goes on.
+    caller = os.getpid()
+    started, start = os.pipe()
+
+    def wait_for_a_helper():
+        assert select.select([started], [], [], 60)[0], "no helper started a restart within 60 s"
+        os.read(started, 1)
+
+    def in_helper():
+        if os.getpid() != caller:
+            os.write(start, b"x")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    forks.helpers = helpers
+    try:
+        with pytest.raises(RuntimeError, match=f"^the 'majority' restart was lost: .* exit status -{signal.SIGKILL}"):
+            _stub_fit({"ci": wait_for_a_helper, "majority": in_helper, "agreement": in_helper})
+    finally:
+        os.close(started)
+        os.close(start)
+
+
+@forks_beside_threads
+@pytest.mark.parametrize("helpers", [1, 2])
+def test_an_interrupted_fit_kills_and_reaps_its_helpers(helpers, forks, no_leftovers):
+    forks.helpers = helpers
+    with pytest.raises(KeyboardInterrupt):
+        _stub_fit({"ci": lambda: _raise(KeyboardInterrupt())})
+    assert forks.count == helpers
+
+
+@forks_beside_threads
+def test_the_queue_hands_each_restart_to_exactly_one_process(forks, no_leftovers):
+    # More helpers than usable CPUs, and many short restarts. Each restart
+    # writes its index to a pipe that every process shares, so a restart taken
+    # twice shows there twice and a lost one not at all.
+    forks.helpers = len(os.sched_getaffinity(0)) + 2
+    strategies = tuple(range(40))
+    log, write = os.pipe()
+
+    def restart(s):
+        os.write(write, bytes([s]))
+        time.sleep(0.002)
+        return s, os.getpid()
+
+    try:
+        try:
+            ran = em._run_restarts(restart, strategies)
+        finally:
+            os.close(write)
+        logged = os.read(log, 1 << 10)  # every writer has left: the whole log
+    finally:
+        os.close(log)
+    assert sorted(logged) == list(strategies)
+    assert forks.count == forks.helpers
+    assert [s for s, _ in ran] == list(strategies)
+    assert ran[0][1] == os.getpid()
+
+
+def test_no_helper_beside_a_live_thread_or_for_a_single_restart():
+    assert em._helper_count(1) == 0
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert em._helper_count(3) == 0
+    finally:
+        stop.set()
+        thread.join()
+
+
+def test_a_single_threaded_process_forks_helpers():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a single usable CPU leaves no helper to fork")
+    src = str(Path(em.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", "from judgeagg import em; print(em._helper_count(3))"],
+                         env=env, capture_output=True, text=True, check=True, timeout=60).stdout
+    assert int(out) >= 1

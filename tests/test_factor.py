@@ -314,6 +314,7 @@ class TestEmFitFactor:
 
         monkeypatch.setattr(em, "minimize", recording)
         monkeypatch.setattr(ising, "minimize", ising_recording)
+        monkeypatch.setattr(em, "_helper_count", lambda restarts: 0)  # every restart's solves are recorded here
         v = sample_factor(FactorParams(pi=0.6, a=0.8, b=0.2, lam=1.0, sigma2_z=1.0), 6, 400, 2)
         fit = em_fit_factor(v, 1, EMConfig(seed=0))
         assert len(solves) >= fit.trace.n_iters

@@ -382,6 +382,7 @@ class TestNewtonMStep:
             return res
 
         monkeypatch.setattr(ising, "minimize", recording)
+        monkeypatch.setattr(em, "_helper_count", lambda restarts: 0)  # every restart's solves are recorded here
         v = sample_labeled(presets.CLASSDEP_DEMO, 400, 0)
         fit = em_fit_ising(v, mode, EMConfig(seed=0))
         assert len(solves) >= fit.trace.n_iters
