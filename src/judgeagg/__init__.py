@@ -24,8 +24,8 @@ _EXPORTS = {
     "factor": ("FactorParams", "MultiFactorParams", "bayes_limit_score", "ci_limit_score", "em_fit_factor",
                "factor_to_ising", "marginal_success", "run_factor_separation", "sample_factor"),
     "ising": ("ExactEvidenceUnavailable", "IsingParams", "K_MAX_EXACT", "bayes_log_odds", "ci_from_marginals",
-              "class_conditional_prob", "em_fit_ising", "energy", "fit_pseudo", "log_partition",
-              "pseudo_log_likelihood", "pseudo_log_likelihood_grad", "sample_ising"),
+              "class_conditional_prob", "em_fit_ising", "energy", "log_partition", "pseudo_log_likelihood",
+              "pseudo_log_likelihood_grad", "sample_ising"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

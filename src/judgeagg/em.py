@@ -296,15 +296,16 @@ def run(v: VoteMatrix, family, config: EMConfig, ci_fit=None) -> EMFit:
     :data:`INIT_STRATEGIES` given a ``ci_fit`` hook, "majority" alone without.
     "ci" starts from ``ci_fit(v, config)``'s posteriors (clipped interior),
     the others from :func:`init_gamma`. Each restart builds ``family(patterns,
-    trace, config)`` and alternates its ``step`` until the objective's relative
-    change falls below ``config.tol`` or ``config.max_iters`` steps. No
-    restart reads another's state, so :func:`_run_restarts` may run them side
-    by side; the outcome is that of running them in order. A later
-    restart replaces the best so far only if it wins by :data:`RESTART_MARGIN`
-    times 1 + |best|; the winner's labeling is then oriented by
-    :func:`resolve_flip`, and the posterior is :func:`predict`'s at those
-    final parameters. A function wrapped to be traced (``minimize``, say)
-    records only the calls of restarts that run in this process.
+    trace, config)``, alternates its ``step`` until the objective's relative
+    change falls below ``config.tol`` or ``config.max_iters`` steps, and
+    returns ``(params, trace)``. No restart reads another's state, so
+    :func:`_run_restarts` may run them side by side; the outcome is that of
+    running them in order. A later restart replaces the best so far only if
+    its last objective wins by :data:`RESTART_MARGIN` times 1 + |best|; the
+    winner's labeling is then oriented by :func:`resolve_flip` from its
+    ``weight_sum()``, and the posterior is :func:`predict`'s at those final
+    parameters. A function wrapped to be traced (``minimize``, say) records
+    only the calls of restarts that run in this process.
     """
     if v.n < 2:
         raise ValueError("an EM fit requires at least 2 items")
@@ -330,16 +331,15 @@ def run(v: VoteMatrix, family, config: EMConfig, ci_fit=None) -> EMFit:
                 trace.converged = True
                 break
             prev = obj
-        params = model.params(pi)
-        return obj, params, params.weight_sum(), trace  # the model, and its arrays, go with this frame
+        return model.params(pi), trace  # the model, and its arrays, go with this frame
 
-    best = None
     strategies = INIT_STRATEGIES if ci_fit is not None else ("majority",)
-    for obj, params, weight_sum, trace in _run_restarts(restart, strategies):
-        if best is None or obj > best[0] + RESTART_MARGIN * (1.0 + abs(best[0])):
-            best = obj, params, weight_sum, trace
-    _, params, weight_sum, trace = best
-    if resolve_flip(weight_sum, params.pi):
+    (params, trace), *later = _run_restarts(restart, strategies)
+    for other_params, other_trace in later:
+        best = trace.objective[-1]
+        if other_trace.objective[-1] > best + RESTART_MARGIN * (1.0 + abs(best)):
+            params, trace = other_params, other_trace
+    if resolve_flip(params.weight_sum(), params.pi):
         params = params.flipped()
         trace.flipped = True
     posterior = PosteriorVector(_posterior(params.pi, *params.log_scores(patterns))[inverse])
@@ -367,26 +367,26 @@ def _helper_count(restarts: int) -> int:
 def _run_restarts(restart, strategies) -> list:
     """``[restart(s) for s in strategies]``, with the restarts after the first shared among forked helpers.
 
-    The caller runs the first restart itself ("ci" under a hook, so the
-    nested CI fit runs in this process). The others go on a queue, one byte
-    per index in a pipe, that :func:`_helper_count` helpers forked here and
-    the caller, once its own restart is done, take from. A helper sends each
-    finished restart back pickled, with the warnings it raised, and leaves by
-    ``os._exit``. Results are then taken in strategy order: each restart's
-    warnings are raised again, then its exception, if any, with the same type
-    and message; a restart whose helper died unsent is a RuntimeError naming
-    the exit status. With no helper, every restart runs in the caller, in
-    order, as a plain loop would run them. No helper and no pipe outlives the
-    call.
+    It is that plain loop when :func:`_helper_count` gives 0. Otherwise the
+    caller runs the first restart itself ("ci" under a hook, so the nested CI
+    fit runs in this process). The others go on a queue, one byte per index
+    in a pipe, that the helpers forked here and the caller, once its own
+    restart is done, take from. A helper pickles each finished restart, with
+    the warnings it raised, onto its own pipe and leaves by ``os._exit``.
+    Results are then taken in strategy order: each restart's warnings are
+    raised again, then its exception, if any, with the same type and
+    message; a restart whose helper died unsent is a RuntimeError naming the
+    exit status. No helper and no pipe outlives the call.
     """
+    if not (helpers := _helper_count(len(strategies))):
+        return [restart(s) for s in strategies]
     done = {}  # index -> (result, warnings, error)
     queue, feed = os.pipe()
     fds, pids, codes = [queue, feed], [], {}
     try:
         os.write(feed, bytes(range(1, len(strategies))))
-        fds.remove(feed)
-        os.close(feed)
-        for _ in range(_helper_count(len(strategies))):
+        os.close(fds.pop())  # feed: the queue holds every index
+        for _ in range(helpers):
             out, inp = os.pipe()
             fds += [out, inp]
             try:
@@ -396,18 +396,15 @@ def _run_restarts(restart, strategies) -> list:
             if pid == 0:
                 _helper(restart, strategies, queue, inp)
             pids.append((pid, out))
-            fds.remove(inp)
-            os.close(inp)
+            os.close(fds.pop())  # inp: only the helper writes to it
         first = restart(strategies[0])
         while taken := os.read(queue, 1):
             i = taken[0]
-            done[i] = _attempt(restart, strategies[i]) if pids else (restart(strategies[i]), [], None)
+            done[i] = _attempt(restart, strategies[i])
         for pid, out in pids:
-            chunks = []
-            while chunk := os.read(out, 1 << 16):
-                chunks.append(chunk)
-            for i, result, caught, error in _frames(b"".join(chunks)):
-                done[i] = result, caught, error and _rebuilt(*error)
+            with open(out, "rb", closefd=False) as stream:
+                for i, result, caught, error in _received(stream):
+                    done[i] = result, caught, error and _rebuilt(*error)
             codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     finally:
         for pid, _ in pids:
@@ -441,9 +438,10 @@ def _attempt(restart, strategy):
 
 
 def _helper(restart, strategies, queue, out) -> None:
-    """A forked helper: run the restarts taken from ``queue``, send each to ``out`` and leave, never returning."""
+    """A forked helper: run the restarts taken from ``queue``, pickle each onto ``out`` and leave, never returning."""
     status = 1
     try:
+        stream = open(out, "wb", closefd=False)
         while taken := os.read(queue, 1):
             i = taken[0]
             result, caught, error = _attempt(restart, strategies[i])
@@ -454,9 +452,8 @@ def _helper(restart, strategies, queue, out) -> None:
             except Exception as exc:  # an unpicklable outcome: send why instead
                 data = pickle.dumps((i, None, [], (RuntimeError, (f"the {strategies[i]!r} restart's outcome "
                                                                   f"cannot be pickled: {exc}",), {})))
-            frame = memoryview(len(data).to_bytes(8, "little") + data)
-            while frame:
-                frame = frame[os.write(out, frame):]
+            stream.write(data)
+            stream.flush()
         status = 0
     finally:
         os._exit(status)
@@ -469,12 +466,10 @@ def _rebuilt(cls, args, state) -> BaseException:
     return exc
 
 
-def _frames(data: bytes):
-    """The messages in ``data``, each an 8-byte length then a pickle; a cut-off last one is dropped."""
-    pos = 0
-    while pos + 8 <= len(data):
-        end = pos + 8 + int.from_bytes(data[pos:pos + 8], "little")
-        if end > len(data):
-            return
-        yield pickle.loads(data[pos + 8:end])
-        pos = end
+def _received(stream):
+    """The messages pickled one after another on ``stream``; a cut-off last one ends them."""
+    try:
+        while True:
+            yield pickle.load(stream)
+    except (EOFError, pickle.UnpicklingError):
+        return

@@ -243,7 +243,8 @@ def em_fit_factor(v: VoteMatrix, r: int = 1, config: EMConfig = EMConfig()) -> E
     judges solved together by :func:`em.minimize`. The surrogate mixture
     objective is non-decreasing across iterations. Loadings are
     canonicalized to non-negative total sign. Every step runs over the
-    distinct vote rows.
+    distinct vote rows. No prior is read: the penalty is 0.0, and
+    ``config.prior_a``/``prior_b`` reach the fit only through its "ci" warm start.
     """
     if r != 1:
         raise ValueError("only rank r=1 fitting is supported")

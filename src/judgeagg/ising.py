@@ -30,15 +30,6 @@ class ExactEvidenceUnavailable(ValueError):
                          "score classes with the pseudo-likelihood instead")
 
 
-class PseudoFitError(RuntimeError):
-    """Pseudo-likelihood solver hit its step cap; carries the best iterate."""
-
-    def __init__(self, message: str, h: np.ndarray, w: np.ndarray):
-        super().__init__(message)
-        self.best_h = h
-        self.best_w = w
-
-
 def _check_coupling(w: np.ndarray, name: str) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -313,8 +304,8 @@ def _field_prior(h: np.ndarray, a: float, b: float) -> tuple[float, np.ndarray, 
     return val, grad, (a + b - 2.0) * s * (1.0 - s)
 
 
-# The table of pattern outer products is built once per EM restart (or
-# fit_pseudo call) while it fits in this many bytes; larger tables are
+# The table of pattern outer products is built once per EM restart while
+# it fits in this many bytes; larger tables are
 # rebuilt chunk by chunk over patterns at every Hessian, so memory stays
 # bounded at large K and many patterns.
 _OUTER_TABLE_BYTES = 1 << 24
@@ -420,28 +411,6 @@ def _neg_pll_newton_shared(xj, design: _PLLDesign, w1, w0, lam, a, b):
     hess[np.ix_(i1, i1)] += h1
     hess[np.ix_(i0, i0)] += h0
     return f1 + f0, grad, hess
-
-
-def fit_pseudo(v: VoteMatrix | np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize the penalized pseudo-log-likelihood over (h, W) jointly.
-
-    Full-parameter damped Newton from zero on the symmetric parameterization
-    (one tied value per pair), with the coupling ridge :data:`LAMBDA_REG`
-    and a Beta(2, 2) prior on each field's success probability, as in the
-    EM M-step at the default ``EMConfig``. Raises :class:`PseudoFitError`
-    (carrying the best iterate) when the solve ends before its gradient stop.
-    """
-    votes = v.votes.astype(float) if isinstance(v, VoteMatrix) else np.asarray(v, dtype=float)
-    n, k = votes.shape
-    if n < k + 1:
-        warnings.warn(f"pseudo-likelihood fit with n={n} < K+1={k + 1} items is poorly determined")
-    weights = np.asarray(weights, dtype=float)
-    res = minimize(partial(_neg_pll_newton, design=_PLLDesign(votes), weights=weights,
-                           lam=LAMBDA_REG, a=2.0, b=2.0), np.zeros(k + k * (k - 1) // 2))
-    h, W = _unpack(res.x, k)
-    if not res.success:
-        raise PseudoFitError("pseudo-likelihood solver did not converge within its step cap", h, W)
-    return h, W
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import io
 import json
 import os
+import pickle
 import re
 import select
 import signal
@@ -292,8 +294,8 @@ def test_constant_judge_columns_give_finite_fit(family, tmp_path):
 
 
 def test_engine_keeps_no_restart_model_alive(monkeypatch):
-    # The engine keeps the winning restart's parameters and weight sum, not
-    # its model, so each restart's arrays are freed before the next is built.
+    # The engine keeps each restart's parameters and trace, not its model,
+    # so each restart's arrays are freed before the next is built.
     monkeypatch.setattr(em, "_helper_count", lambda restarts: 0)  # every restart is counted here
     class CountingFamily:
         """A fake family that counts its live instances; each new restart wins."""
@@ -547,6 +549,14 @@ def _raise(exc):
     raise exc
 
 
+class _SolveError(RuntimeError):
+    """An error whose __init__ takes other arguments than its args, and keeps them as attributes."""
+
+    def __init__(self, message, h, w):
+        super().__init__(message)
+        self.best_h, self.best_w = h, w
+
+
 @forks_beside_threads
 @pytest.mark.parametrize("helpers", [0, 1, 2])
 def test_a_restart_error_keeps_its_type_and_message(helpers, forks, no_leftovers):
@@ -555,8 +565,8 @@ def test_a_restart_error_keeps_its_type_and_message(helpers, forks, no_leftovers
         _stub_fit({"agreement": lambda: _raise(ValueError("the agreement restart failed: 7"))})
     # An error whose __init__ takes other arguments than its args comes back whole.
     h, w = np.arange(3.0), np.eye(3)
-    with pytest.raises(ising.PseudoFitError, match="^step cap$") as err:
-        _stub_fit({"majority": lambda: _raise(ising.PseudoFitError("step cap", h, w))})
+    with pytest.raises(_SolveError, match="^step cap$") as err:
+        _stub_fit({"majority": lambda: _raise(_SolveError("step cap", h, w))})
     assert np.array_equal(err.value.best_h, h) and np.array_equal(err.value.best_w, w)
 
 
@@ -630,6 +640,61 @@ def test_the_queue_hands_each_restart_to_exactly_one_process(forks, no_leftovers
     assert forks.count == forks.helpers
     assert [s for s, _ in ran] == list(strategies)
     assert ran[0][1] == os.getpid()
+
+
+def test_without_a_helper_the_restarts_run_in_a_plain_loop(monkeypatch, forks, no_leftovers):
+    # No helper: no pipe is opened, nothing is forked, and a restart's
+    # exception is the very object it raised, not one rebuilt from a pickle.
+    monkeypatch.setattr(os, "pipe", lambda: _raise(AssertionError("a helperless fit opened a pipe")))
+    assert em._run_restarts(lambda s: (s, os.getpid()), (0, 1, 2)) == [(s, os.getpid()) for s in (0, 1, 2)]
+    error = _SolveError("step cap", np.arange(3.0), np.eye(3))
+    with pytest.raises(_SolveError) as err:
+        em._run_restarts(lambda s: s == 1 and _raise(error), (0, 1, 2))
+    assert err.value is error
+    assert forks.count == 0
+
+
+@forks_beside_threads
+def test_when_no_helper_can_be_forked_the_caller_takes_every_restart(monkeypatch, forks, no_leftovers):
+    # The first fork fails: the caller takes the whole queue, its warnings are
+    # raised again in restart order, and an error is the very object raised.
+    forks.helpers = 2
+    monkeypatch.setattr(os, "fork", lambda: _raise(OSError("no process to spare")))
+
+    def restart(s):
+        warnings.warn(f"from {s}", UserWarning)
+        return s, os.getpid()
+
+    with pytest.warns(UserWarning) as record:
+        assert em._run_restarts(restart, (0, 1, 2)) == [(s, os.getpid()) for s in (0, 1, 2)]
+    assert [str(w.message) for w in record] == ["from 0", "from 1", "from 2"]
+    error = _SolveError("step cap", np.arange(3.0), np.eye(3))
+    with pytest.raises(_SolveError) as err:
+        em._run_restarts(lambda s: s == 2 and _raise(error), (0, 1, 2))
+    assert err.value is error
+
+
+def test_only_the_winning_restart_is_oriented(monkeypatch):
+    # weight_sum orients the winner alone: once for the outer fit, and once
+    # for the nested CI fit that seeds its "ci" restart.
+    monkeypatch.setattr(em, "_helper_count", lambda restarts: 0)
+    oriented = []
+    weight_sum = CIParams.weight_sum
+    monkeypatch.setattr(CIParams, "weight_sum", lambda self: oriented.append(self) or weight_sum(self))
+    fit = _stub_fit({})
+    assert len(oriented) == 2
+    assert oriented[-1].pi in (fit.params.pi, 1.0 - fit.params.pi)
+
+
+def test_the_stream_reader_stops_at_a_cut_off_message():
+    # A helper that dies mid-write leaves a prefix of its last pickle: the
+    # messages before it are read, and the cut one ends the stream.
+    whole = [pickle.dumps((i, np.arange(10.0 * i))) for i in (1, 2)]
+    last = pickle.dumps((3, np.arange(5000.0), [("warned", UserWarning, "f.py", 1)]))
+    for cut in range(len(last)):
+        got = list(em._received(io.BytesIO(b"".join(whole) + last[:cut])))
+        assert [i for i, _ in got] == [1, 2]
+        assert all(np.array_equal(a, np.arange(10.0 * i)) for i, a in got)
 
 
 def test_no_helper_beside_a_live_thread_or_for_a_single_restart():

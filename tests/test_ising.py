@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from judgeagg import (
     em_fit_ci,
     em_fit_ising,
     energy,
-    fit_pseudo,
     log_partition,
     pseudo_log_likelihood,
     pseudo_log_likelihood_grad,
@@ -28,7 +28,7 @@ from judgeagg import (
 from judgeagg import em, ising, presets
 from judgeagg.curie_weiss import CWClassSpec, CWExperimentSpec, sample_labeled_cw
 from judgeagg.data import rng_from
-from judgeagg.em import predict
+from judgeagg.em import EMTrace, predict, vote_patterns
 from judgeagg.ising import all_configs, class_conditional_table, sample_labeled
 from judgeagg.reproduce import aligned_accuracy
 
@@ -391,7 +391,16 @@ class TestNewtonMStep:
             assert gmax <= 1e-9 * (1.0 + abs(f))
 
 
-class TestFitPseudo:
+def _mstep_all_in_class_1(votes):
+    """Class-1 and class-0 ``(h, W)`` of the EM M-step solve, every item weighted into class 1."""
+    patterns, counts, _ = vote_patterns(votes)
+    model = ising._IsingModel(patterns, EMTrace(), EMConfig(), shared=False)
+    x1, x0 = model._mstep(counts, np.zeros(len(counts)))
+    k = patterns.shape[1]
+    return ising._unpack(x1, k), ising._unpack(x0, k)
+
+
+class TestPseudoLikelihoodMStep:
     def test_recovers_generating_couplings(self):
         rng = np.random.default_rng(29)
         k = 5
@@ -401,23 +410,22 @@ class TestFitPseudo:
         w_true[iu] = rng.uniform(-0.6, 0.6, len(iu[0]))
         w_true = w_true + w_true.T
         votes = sample_ising(h_true, w_true, 50_000, seed=5)
-        h_fit, w_fit = fit_pseudo(votes.astype(float), np.ones(50_000))
+        (h_fit, w_fit), _ = _mstep_all_in_class_1(votes)
         assert np.max(np.abs(w_fit - w_true)) <= 0.15
         assert np.max(np.abs(h_fit - h_true)) <= 0.15
 
-    def test_zero_weights_return_prior_solution(self):
+    def test_a_class_with_zero_weight_stays_at_zero(self):
         rng = np.random.default_rng(30)
-        votes = rng.integers(0, 2, (50, 4)).astype(float)
-        h, w = fit_pseudo(votes, np.zeros(50))
-        np.testing.assert_allclose(h, 0.0, atol=1e-8)
-        np.testing.assert_allclose(w, 0.0, atol=1e-8)
+        votes = rng.integers(0, 2, (50, 4))
+        _, (h, w) = _mstep_all_in_class_1(votes)
+        assert np.array_equal(h, np.zeros(4)) and np.array_equal(w, np.zeros((4, 4)))
 
     def test_duplicate_judges_get_largest_positive_coupling(self):
         for seed in range(20):
             rng = rng_from(seed, 111)
-            base = rng.integers(0, 2, (2000, 3)).astype(float)
+            base = rng.integers(0, 2, (2000, 3))
             votes = np.column_stack([base, base[:, 2]])  # judge 4 duplicates judge 3
-            h, w = fit_pseudo(votes, np.ones(2000))
+            (h, w), _ = _mstep_all_in_class_1(votes)
             iu = np.triu_indices(4, 1)
             pairs = list(zip(*iu))
             vals = w[iu]
@@ -425,34 +433,18 @@ class TestFitPseudo:
             assert best == (2, 3)
             assert w[2, 3] > 0
 
-    def test_step_cap_raises_with_the_best_iterate(self, monkeypatch):
+    def test_step_cap_ends_the_solve_at_the_best_iterate(self, monkeypatch):
         rng = np.random.default_rng(32)
         votes = rng.integers(0, 2, (200, 4)).astype(float)
-        cut = []
-        solve = ising.minimize
-
-        def recording(fun, x0):
-            cut.append(solve(fun, x0))
-            return cut[-1]
-
-        monkeypatch.setattr(ising, "minimize", recording)
         monkeypatch.setattr(em, "_NEWTON_MAX_STEPS", 1)
-        with pytest.raises(ising.PseudoFitError, match="step cap") as err:
-            fit_pseudo(votes, np.ones(200))
-        (res,) = cut
+        zeros = np.zeros(4 + 6)
+        res = ising.minimize(partial(ising._neg_pll_newton, design=ising._PLLDesign(votes), weights=np.ones(200),
+                                     lam=ising.LAMBDA_REG, a=2.0, b=2.0), zeros)
         assert not res.success and res.nit == 1
-        h, W = ising._unpack(res.x, 4)
-        np.testing.assert_array_equal(err.value.best_h, h)
-        np.testing.assert_array_equal(err.value.best_w, W)
         # The one step taken improved on the zero start.
+        h, W = ising._unpack(res.x, 4)
         assert pseudo_log_likelihood(h, W, votes, np.ones(200)) > pseudo_log_likelihood(
             np.zeros(4), np.zeros((4, 4)), votes, np.ones(200))
-
-    def test_small_n_warns(self):
-        rng = np.random.default_rng(31)
-        votes = rng.integers(0, 2, (3, 5)).astype(float)
-        with pytest.warns(UserWarning, match="poorly determined"):
-            fit_pseudo(votes, np.ones(3))
 
 
 class TestSampler:

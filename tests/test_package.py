@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "VoteDataError", "VoteMatrix", "accuracy", "bayes_limit_score", "bayes_log_odds", "ci", "ci_from_marginals",
     "ci_limit_score", "ci_log_odds", "ci_oracle_predict", "class_conditional_prob", "curie_weiss", "data", "em",
     "em_fit_ci", "em_fit_factor", "em_fit_ising", "energy", "factor", "factor_to_ising",
-    "fit_pseudo", "ising", "load_votes", "log_partition", "magnetization_classifier", "magnetization_log_pmf",
+    "ising", "load_votes", "log_partition", "magnetization_classifier", "magnetization_log_pmf",
     "marginal_success", "pseudo_log_likelihood", "pseudo_log_likelihood_grad", "rng_from",
     "run_factor_separation", "run_separation", "sample_ci", "sample_cw", "sample_factor", "sample_ising",
     "save_votes", "solve_mean_field", "split", "true_marginals", "umv_predict", "wmv_predict",
