@@ -365,12 +365,6 @@ def save_votes(v: VoteMatrix, path: str) -> None:
         _write_votes(fh, v)
 
 
-def dumps_votes(v: VoteMatrix) -> str:
-    buf = io.StringIO()
-    _write_votes(buf, v)
-    return buf.getvalue()
-
-
 def _write_votes(fh, v: VoteMatrix) -> None:
     cells = v.votes if v.gold_labels is None else np.column_stack([v.votes, v.gold_labels])
     patterns, _, inverse = vote_patterns(cells)

@@ -300,12 +300,15 @@ def run(v: VoteMatrix, family, config: EMConfig, ci_fit=None) -> EMFit:
     change falls below ``config.tol`` or ``config.max_iters`` steps, and
     returns ``(params, trace)``. No restart reads another's state, so
     :func:`_run_restarts` may run them side by side; the outcome is that of
-    running them in order. A later restart replaces the best so far only if
-    its last objective wins by :data:`RESTART_MARGIN` times 1 + |best|; the
-    winner's labeling is then oriented by :func:`resolve_flip` from its
-    ``weight_sum()``, and the posterior is :func:`predict`'s at those final
-    parameters. A function wrapped to be traced (``minimize``, say) records
-    only the calls of restarts that run in this process.
+    running them in order: a restart that did not come back clean (it
+    raised, warned, or its helper died) runs again here, in order, so its
+    warnings and its exception are those of the plain loop. A later restart
+    replaces the best so far only if its last objective wins by
+    :data:`RESTART_MARGIN` times 1 + |best|; the winner's labeling is then
+    oriented by :func:`resolve_flip` from its ``weight_sum()``, and the
+    posterior is :func:`predict`'s at those final parameters. A function
+    wrapped to be traced (``minimize``, say) records only the calls of
+    restarts that run in this process.
     """
     if v.n < 2:
         raise ValueError("an EM fit requires at least 2 items")
@@ -371,18 +374,21 @@ def _run_restarts(restart, strategies) -> list:
     caller runs the first restart itself ("ci" under a hook, so the nested CI
     fit runs in this process). The others go on a queue, one byte per index
     in a pipe, that the helpers forked here and the caller, once its own
-    restart is done, take from. A helper pickles each finished restart, with
-    the warnings it raised, onto its own pipe and leaves by ``os._exit``.
-    Results are then taken in strategy order: each restart's warnings are
-    raised again, then its exception, if any, with the same type and
-    message; a restart whose helper died unsent is a RuntimeError naming the
-    exit status. No helper and no pipe outlives the call.
+    restart is done, take from. Only a clean result of a queued restart is
+    kept, one that returned and raised no warning (:func:`_clean`); a helper
+    pickles each onto its own pipe and leaves by ``os._exit``. Every other
+    queued restart runs again in the caller, in strategy order, as in the
+    plain loop: one that raised or warned, one whose helper died or could
+    not be forked, and one whose result cannot be pickled. So a restart's
+    warnings and its exception are those of the plain loop, at the cost of
+    running a queued restart that warns or raises twice. No helper and no
+    pipe outlives the call.
     """
     if not (helpers := _helper_count(len(strategies))):
         return [restart(s) for s in strategies]
-    done = {}  # index -> (result, warnings, error)
+    done = {}  # index -> the clean result of a queued restart
     queue, feed = os.pipe()
-    fds, pids, codes = [queue, feed], [], {}
+    fds, pids = [queue, feed], []
     try:
         os.write(feed, bytes(range(1, len(strategies))))
         os.close(fds.pop())  # feed: the queue holds every index
@@ -399,71 +405,42 @@ def _run_restarts(restart, strategies) -> list:
             os.close(fds.pop())  # inp: only the helper writes to it
         first = restart(strategies[0])
         while taken := os.read(queue, 1):
-            i = taken[0]
-            done[i] = _attempt(restart, strategies[i])
-        for pid, out in pids:
+            for result in _clean(restart, strategies[taken[0]]):
+                done[taken[0]] = result
+        for _, out in pids:
             with open(out, "rb", closefd=False) as stream:
-                for i, result, caught, error in _received(stream):
-                    done[i] = result, caught, error and _rebuilt(*error)
-            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                done.update(_received(stream))
     finally:
         for pid, _ in pids:
-            if pid not in codes:
-                os.kill(pid, 9)  # SIGKILL
-                os.waitpid(pid, 0)
+            os.kill(pid, 9)  # SIGKILL; a helper whose stream has ended is exiting already
+            os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)
-    results = [first]
-    for i, strategy in enumerate(strategies[1:], 1):
-        if i not in done:
-            status = ", ".join(str(c) for c in codes.values() if c)
-            raise RuntimeError(f"the {strategy!r} restart was lost: its helper process ended with exit status {status}")
-        result, caught, error = done[i]
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno)
-        if error is not None:
-            raise error
-        results.append(result)
-    return results
+    # A queued restart that did not come back clean runs again here, in strategy order.
+    return [first, *(done[i] if i in done else restart(s) for i, s in enumerate(strategies[1:], 1))]
 
 
-def _attempt(restart, strategy):
-    """``restart(strategy)`` as ``(result, warnings, error)``: the warnings it raised, and what it raised."""
+def _clean(restart, strategy) -> list:
+    """``[restart(strategy)]`` if it returned and raised no warning, whatever the filters; ``[]`` otherwise."""
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
-            result, error = restart(strategy), None
-        except Exception as exc:  # raised again, in order, by _run_restarts
-            result, error = None, exc
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
+            result = restart(strategy)
+        except Exception:  # raised again when the caller runs it again
+            return []
+    return [] if caught else [result]
 
 
 def _helper(restart, strategies, queue, out) -> None:
-    """A forked helper: run the restarts taken from ``queue``, pickle each onto ``out`` and leave, never returning."""
-    status = 1
+    """A forked helper: run the restarts taken from ``queue``, pickle each clean result onto ``out``, never return."""
     try:
         stream = open(out, "wb", closefd=False)
         while taken := os.read(queue, 1):
-            i = taken[0]
-            result, caught, error = _attempt(restart, strategies[i])
-            # An exception is sent as its type, args and attributes, so that its
-            # __init__, which may take other arguments, is not called again.
-            try:
-                data = pickle.dumps((i, result, caught, error and (type(error), error.args, vars(error))))
-            except Exception as exc:  # an unpicklable outcome: send why instead
-                data = pickle.dumps((i, None, [], (RuntimeError, (f"the {strategies[i]!r} restart's outcome "
-                                                                  f"cannot be pickled: {exc}",), {})))
-            stream.write(data)
-            stream.flush()
-        status = 0
+            for result in _clean(restart, strategies[taken[0]]):
+                stream.write(pickle.dumps((taken[0], result)))
+                stream.flush()
     finally:
-        os._exit(status)
-
-
-def _rebuilt(cls, args, state) -> BaseException:
-    """The exception of type ``cls`` with these args and attributes, built without calling its __init__."""
-    exc = cls.__new__(cls, *args)
-    exc.__dict__.update(state)
-    return exc
+        os._exit(0)
 
 
 def _received(stream):
